@@ -1,9 +1,10 @@
 """Exception taxonomy shared by the decision engine and the operator lab.
 
 Two families matter to callers: malformed input (``InvalidInterval``,
-``NegativeEndpoint``, ``DimensionMismatch``) and mathematically inadmissible
-requests (everything deriving from ``AdmissibilityError``).  The CLI maps the
-first family to exit code 2 and the second to exit code 3.
+``NegativeEndpoint``, ``DimensionMismatch``, ``NonFiniteEntry``) and
+mathematically inadmissible requests (everything deriving from
+``AdmissibilityError``).  The CLI maps the first family to exit code 2 and the
+second to exit code 3.
 """
 
 
@@ -21,6 +22,10 @@ class NegativeEndpoint(ScalexError, ValueError):
 
 class DimensionMismatch(ScalexError, ValueError):
     """Operands whose shapes cannot be combined."""
+
+
+class NonFiniteEntry(ScalexError, ValueError):
+    """A matrix entry that is NaN or infinite."""
 
 
 class AdmissibilityError(ScalexError):

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteEntry
 from .operators import TruncatedShiftModel
 
 __all__ = ["save_matrix", "load_matrix", "save_model", "load_model"]
@@ -41,10 +41,19 @@ def load_matrix(path: str) -> np.ndarray:
             fields = fh.readline().split()
             if len(fields) != cols:
                 raise DimensionMismatch(f"{path}: row {r} has {len(fields)} fields, expected {cols}")
-            for c, field in enumerate(fields):
-                re, im = field.split(",")
-                out[r, c] = complex(float(re), float(im))
+            if any(f.count(",") != 1 for f in fields):
+                raise ValueError(f"{path}: row {r} has a field that is not one re,im pair")
+            if cols:
+                # interleaved re, im doubles are the memory layout of complex128
+                out[r] = np.array(",".join(fields).split(","), dtype=float).view(complex)
+    _require_finite(out, path)
     return out
+
+
+def _require_finite(m: np.ndarray, path: str) -> None:
+    if not np.isfinite(m).all():
+        r, c = np.argwhere(~np.isfinite(m))[0]
+        raise NonFiniteEntry(f"{path}: entry ({r}, {c}) is {m[r, c]}")
 
 
 def _entry_to_json(z: complex):
@@ -78,4 +87,5 @@ def load_model(path: str) -> TruncatedShiftModel:
         a = load_matrix(os.path.join(os.path.dirname(os.path.abspath(path)), a_field))
     else:
         a = np.array([[_entry_from_json(v) for v in row] for row in a_field], dtype=complex)
+        _require_finite(a, path)
     return TruncatedShiftModel(int(obj["d"]), int(obj["N"]), a)

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     IllConditioned,
     NoGap,
     NotAdmissible,
@@ -53,6 +54,11 @@ def opnorm(x: np.ndarray) -> float:
     if x.size == 0:
         return 0.0
     return float(np.linalg.norm(x, 2))
+
+
+def _opnorm_at_most(m: np.ndarray, tol: float) -> bool:
+    """opnorm(m) <= tol, skipping the SVD when the Frobenius bound decides it."""
+    return bool(np.linalg.norm(m) <= tol or opnorm(m) <= tol)
 
 
 def matrix_abs(x: np.ndarray) -> np.ndarray:
@@ -120,7 +126,7 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
         n = x.shape[0]
         if n % fiber_dim:
             raise NotAdmissible(f"dimension {n} is not a multiple of fiber_dim {fiber_dim}")
-        localized = bool(opnorm(r[: n - fiber_dim, :]) <= BOUNDARY_TOL)
+        localized = _opnorm_at_most(r[: n - fiber_dim, :], BOUNDARY_TOL)
     return ScalingDefect(norm, localized)
 
 
@@ -131,21 +137,25 @@ def defect_is_boundary(x: np.ndarray, tol: float) -> bool:
     support, and this formulation survives unitary conjugation.
     """
     r = _defect(x)
-    if opnorm(r) <= tol:
+    if _opnorm_at_most(r, tol):
         return True
     _, s, vh = np.linalg.svd(x)
     right = vh.conj().T[:, s > tol]
-    return opnorm(right @ (right.conj().T @ r)) <= tol
+    return _opnorm_at_most(right @ (right.conj().T @ r), tol)
 
 
 def estimate_spectrum(x: np.ndarray, cluster_tol: float) -> SpectralSet:
     """Singular values of x, clustered into intervals of width <= the gaps.
 
     Values closer than cluster_tol coalesce; each cluster becomes the interval
-    [min, max], so exact multiple values come back as points.
+    [min, max], so exact multiple values come back as points.  An empty or
+    non-square x raises :class:`DimensionMismatch`.
     """
     if cluster_tol <= 0:
         raise NotAdmissible("cluster_tol must be > 0")
+    shape = np.shape(x)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise DimensionMismatch(f"need a non-empty square matrix, got shape {shape}")
     s = np.sort(np.linalg.svd(x, compute_uv=False))
     intervals = []
     lo = hi = float(s[0])

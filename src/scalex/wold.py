@@ -4,7 +4,7 @@ Any X with (X*X)X = X splits, up to unitary equivalence, into a weighted
 one-sided shift, a unitary and a zero block.  The recursion below recovers
 that splitting from a dense matrix: the first projection comes from the gap
 between right and left support, the polar decomposition of X on it yields the
-weight block, and conjugating forward by X walks down the shift fibers.
+weight block, and multiplying its basis by X walks down the shift fibers.
 
 Truncated inputs violate the identity at one boundary slot.  The recursion
 tolerates exactly that failure mode: the boundary test is basis-free (the
@@ -48,7 +48,7 @@ def supports(x: np.ndarray, tol: float = 1e-9) -> SupportPair:
 def polar(x: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition x = u p with u a partial isometry and p = |x|."""
     x = np.asarray(x, dtype=complex)
-    u_, s, vh = np.linalg.svd(x)
+    u_, s, vh = np.linalg.svd(x, full_matrices=False)
     keep = s > tol
     u = u_[:, keep] @ vh[keep, :]
     p = vh.conj().T @ (s[:, None] * vh)
@@ -66,14 +66,13 @@ def _spectral_projection_above(h: np.ndarray, cut: float) -> tuple[np.ndarray, n
 class WoldReport:
     """Everything the recursion recovered, plus diagnostics.
 
-    q_projections are the mutually orthogonal shift-fiber projections;
-    u_parts[i] maps fiber i onto fiber i+1 (the first is the polar isometry).
+    fiber_bases[k] is an n x r basis of the k-th shift fiber: the first spans
+    the spectral cut of right minus left support, the second is its image
+    under the polar isometry, and each later one is X times the previous.
     a_restricted is the weight block expressed on the first fiber basis.
     """
 
     dimension: int
-    q_projections: list[np.ndarray]
-    u_parts: list[np.ndarray]
     a_restricted: np.ndarray
     unitary_part: np.ndarray
     kernel_projection: np.ndarray
@@ -84,8 +83,14 @@ class WoldReport:
     residuals: dict[str, float] = field(default_factory=dict)
 
     @property
+    def q_projections(self) -> list[np.ndarray]:
+        """The shift-fiber projections V V*, formed on demand."""
+        return [v @ v.conj().T for v in self.fiber_bases]
+
+    @property
     def q_ranks(self) -> list[int]:
-        return [int(round(float(np.trace(q).real))) for q in self.q_projections]
+        # trace(V V*) = trace(V* V), the diagonal Gram block
+        return [int(round(float(np.vdot(v, v).real))) for v in self.fiber_bases]
 
     @property
     def unitary_rank(self) -> int:
@@ -114,6 +119,10 @@ class WoldReport:
 def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = None) -> WoldReport:
     """Split x into shift-type, unitary and kernel summands.
 
+    The recursion carries only the n x r fiber bases, so a call does a fixed
+    number of n x n factorizations whatever the depth; per step it takes the
+    singular values of the n x r image X V_k.
+
     Raises :class:`NotScalinglike` when the scaling identity fails beyond tol
     away from the boundary, and :class:`NoConvergence` when the fiber
     recursion exceeds max_steps (default: the dimension) without dying out.
@@ -138,37 +147,28 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
 
     # the literal difference right - left is a projection only when the
     # identity holds exactly; the > 1/2 spectral cut survives the boundary
-    q0, q0_basis = _spectral_projection_above(p0 - p0p, 0.5)
+    _, q0_basis = _spectral_projection_above(p0 - p0p, 0.5)
 
-    q_list: list[np.ndarray] = []
-    u_parts: list[np.ndarray] = []
     fiber_bases: list[np.ndarray] = []
     a_restricted = np.zeros((0, 0), dtype=complex)
+    tail_norm = 0.0
 
     if q0_basis.shape[1] > 0:
-        q_list.append(q0)
-        x0 = x @ q0
-        u0, absx0 = polar(x0, tol)
-        a_restricted = q0_basis.conj().T @ absx0 @ q0_basis
-        q1 = u0 @ u0.conj().T
-        q_list.append(q1)
-        u_parts.append(u0)
-        fiber_bases.append(q0_basis)
-        fiber_bases.append(u0 @ q0_basis)
+        # |X Q0| = V0 |X V0| V0* and U0 V0 is the polar isometry of X V0
+        v1, a_restricted = polar(x @ q0_basis, tol)
+        fiber_bases += [q0_basis, v1]
         while True:
-            q_next = x @ q_list[-1] @ x.conj().T
-            if opnorm(q_next) < 0.5:
-                tail_norm = opnorm(q_next)
+            # ||X Q_k X*|| = sigma_max(X V_k)^2 for Q_k = V_k V_k*
+            image = x @ fiber_bases[-1]
+            tail_norm = opnorm(image) ** 2
+            if tail_norm < 0.5:
                 break
-            if len(q_list) >= max_steps:
+            if len(fiber_bases) >= max_steps:
                 raise NoConvergence(f"fiber recursion still alive after {max_steps} steps")
-            u_parts.append(x @ q_list[-1])
-            fiber_bases.append(x @ fiber_bases[-1])
-            q_list.append(q_next)
-    else:
-        tail_norm = 0.0
+            fiber_bases.append(image)
 
-    p1 = sum(q_list, np.zeros_like(eye))
+    stacked = np.hstack(fiber_bases) if fiber_bases else np.zeros((n, 0), dtype=complex)
+    p1 = stacked @ stacked.conj().T
 
     # kernel estimate, shrunk by whatever the recursion already claimed
     p3_raw = eye - p0
@@ -182,28 +182,43 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
 
     report = WoldReport(
         dimension=n,
-        q_projections=q_list,
-        u_parts=u_parts,
         a_restricted=a_restricted,
         unitary_part=unitary_part,
         kernel_projection=p3,
         fiber_bases=fiber_bases,
         p2_basis=p2_basis,
         boundary_overlap_rank=overlap,
-        boundary_q_index=len(q_list) - 1 if overlap > 0 and q_list else None,
+        boundary_q_index=len(fiber_bases) - 1 if overlap > 0 and fiber_bases else None,
     )
-    report.residuals = _diagnostics(x, report, p1, p2, p3, defect_norm, tail_norm)
+    report.residuals = _diagnostics(x, report, stacked, p1, p2, p3, defect_norm, tail_norm)
     return report
 
 
-def _diagnostics(x, report, p1, p2, p3, defect_norm, tail_norm) -> dict[str, float]:
-    qs = report.q_projections
-    proj_defect = 0.0
-    ortho_defect = 0.0
-    for i, q in enumerate(qs):
-        proj_defect = max(proj_defect, opnorm(q @ q - q), opnorm(q.conj().T - q))
-        for p in qs[i + 1 :]:
-            ortho_defect = max(ortho_defect, opnorm(q @ p))
+def _fiber_defects(stacked: np.ndarray, fibers: int) -> tuple[float, float]:
+    """(projection, orthogonality) defects of the fibers from one Gram matrix.
+
+    With G = B* B for the stacked bases B, ||Q_k^2 - Q_k|| = max |g^2 - g| over
+    the eigenvalues g of the block G_kk, and ||Q_i Q_j|| is the norm of
+    G_ii^(1/2) G_ij G_jj^(1/2); every block is r x r.
+    """
+    if fibers == 0:
+        return 0.0, 0.0
+    # the recursion yields either no fibers or at least two, all of rank r
+    r = stacked.shape[1] // fibers
+    gram = stacked.conj().T @ stacked
+    blocks = gram.reshape(fibers, r, fibers, r).transpose(0, 2, 1, 3)
+    diag = blocks[np.arange(fibers), np.arange(fibers)]
+    g, w = np.linalg.eigh(diag)
+    proj_defect = float(np.max(np.abs(g * g - g)))
+    i, j = np.triu_indices(fibers, 1)
+    root = (w * np.sqrt(np.clip(g, 0.0, None))[:, None, :]) @ w.conj().transpose(0, 2, 1)
+    cross = root[i] @ blocks[i, j] @ root[j]
+    ortho_defect = float(np.max(np.linalg.svd(cross, compute_uv=False)))
+    return proj_defect, ortho_defect
+
+
+def _diagnostics(x, report, stacked, p1, p2, p3, defect_norm, tail_norm) -> dict[str, float]:
+    proj_defect, ortho_defect = _fiber_defects(stacked, len(report.fiber_bases))
     eye = np.eye(report.dimension, dtype=complex)
     xc = report.unitary_part
     k = xc.shape[0]

@@ -168,6 +168,28 @@ class TestPipeline:
         assert code == 0 and rep["infinite_projection_witnessed"] is True
 
 
+class TestBadOperands:
+    """Malformed matrix files end in exit 2 with a named error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("0 0\n", "DimensionMismatch"),
+            ("2 3\n1,0 0,0 0,0\n0,0 1,0 0,0\n", "DimensionMismatch"),
+            ("2 2\nnan,0 0,0\n0,0 1,0\n", "NonFiniteEntry"),
+            ("2 2\n1,0 0,inf\n0,0 1,0\n", "NonFiniteEntry"),
+        ],
+    )
+    def test_specestimate_rejects(self, capsys, tmp_path, text, kind):
+        path = tmp_path / "bad.mat"
+        path.write_text(text)
+        code = main(["specestimate", "--in", str(path)])
+        out = capsys.readouterr().out
+        doc, end = json.JSONDecoder().raw_decode(out)
+        assert out[end:].strip() == ""
+        assert code == 2 and doc["kind"] == kind
+
+
 class TestDeterminism:
     def strip_timestamp(self, rep):
         rep = dict(rep)

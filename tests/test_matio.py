@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scalex.errors import DimensionMismatch
+from scalex.errors import DimensionMismatch, NonFiniteEntry
 from scalex.matio import load_matrix, load_model, save_matrix, save_model
 from scalex.operators import TruncatedShiftModel, realize
 
@@ -13,6 +13,20 @@ def test_matrix_roundtrip_bit_exact(tmp_path, rng):
     back = load_matrix(path)
     assert back.shape == (3, 5)
     assert np.array_equal(back, m)
+
+
+def test_matrix_roundtrip_extreme_values_bit_exact(tmp_path):
+    m = np.array(
+        [
+            [complex(5e-324, -0.0), complex(-0.0, 1.7976931348623157e308)],
+            [complex(2.2250738585072014e-308, -5e-324), complex(1 / 3, -2 / 3)],
+        ]
+    )
+    assert np.signbit(m[0, 0].imag) and np.signbit(m[0, 1].real)
+    path = tmp_path / "m.mat"
+    save_matrix(path, m)
+    back = load_matrix(path)
+    assert np.array_equal(back.view(np.int64), m.view(np.int64))
 
 
 def test_matrix_file_grammar(tmp_path):
@@ -28,6 +42,37 @@ def test_matrix_truncated_row_rejected(tmp_path):
     path.write_text("1 3\n1.0,0.0 2.0,0.0\n")
     with pytest.raises(DimensionMismatch):
         load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "row", ["1.0,0.0,0.0 2.0,0.0", "1.0 2.0,0.0,0.0", ", 2.0,0.0", "1.0, 2.0,0.0", "x,0 2.0,0.0"]
+)
+def test_matrix_field_not_one_pair_rejected(tmp_path, row):
+    path = tmp_path / "bad.mat"
+    path.write_text(f"1 2\n{row}\n")
+    with pytest.raises(ValueError):
+        load_matrix(path)
+
+
+def test_matrix_empty_rows_accepted(tmp_path):
+    path = tmp_path / "m.mat"
+    path.write_text("2 0\n\n\n")
+    assert load_matrix(path).shape == (2, 0)
+
+
+@pytest.mark.parametrize("entry", ["nan,0.0", "0.0,-inf", "1e400,0.0"])
+def test_matrix_non_finite_rejected(tmp_path, entry):
+    path = tmp_path / "bad.mat"
+    path.write_text(f"1 2\n1.0,0.0 {entry}\n")
+    with pytest.raises(NonFiniteEntry):
+        load_matrix(path)
+
+
+def test_model_non_finite_inline_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"d": 1, "N": 3, "A": [[NaN]]}')
+    with pytest.raises(NonFiniteEntry):
+        load_model(path)
 
 
 def test_model_roundtrip_inline(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,139 @@ class TestWoldRoundtrips:
         x = conjugate_random(realize(diag_model(4, 0.5)), 3)
         assert scaling_defect(x).residual_norm > 0.1
         assert len(wold_decompose(x).q_projections) > 0
+
+
+def dense_reference(x, tol=1e-9):
+    """to_json() of the projection-matrix recursion: n x n fibers Q_{k+1} = X Q_k X*
+    and pairwise diagnostics, the formulation the fiber-basis code replaces."""
+    n = x.shape[0]
+    eye = np.eye(n, dtype=complex)
+
+    def above(h, cut):
+        w, v = np.linalg.eigh(h)
+        basis = v[:, w > cut]
+        return basis @ basis.conj().T, basis
+
+    sp = supports(x, tol)
+    q0, v0 = above(sp.right - sp.left, 0.5)
+    u0, absx0 = polar(x @ q0, tol)
+    qs = [q0, u0 @ u0.conj().T]
+    while opnorm(x @ qs[-1] @ x.conj().T) >= 0.5:
+        qs.append(x @ qs[-1] @ x.conj().T)
+    p1 = sum(qs)
+    p3, _ = above((eye - sp.right) @ (eye - p1) @ (eye - sp.right), 0.5)
+    p2, p2_basis = above(eye - p1 - p3, 0.5)
+    xc = p2_basis.conj().T @ x @ p2_basis
+    ik = np.eye(xc.shape[0])
+    # X Q_k is the k-th shift step, so the shift summand is X (P1 - Q_last)
+    rebuilt = x @ (p1 - qs[-1]) + p2 @ x @ p2
+    overlap = int(round(np.trace(eye - sp.right).real)) - int(round(np.trace(p3).real))
+    return {
+        "q_ranks": [int(round(np.trace(q).real)) for q in qs],
+        "a_eigenvalues": np.linalg.eigvalsh(v0.conj().T @ absx0 @ v0).tolist(),
+        "unitary_rank": xc.shape[0],
+        "kernel_rank": int(round(np.trace(p3).real)),
+        "residuals": {
+            "scaling_defect": scaling_defect(x).residual_norm,
+            "projection_defect": max(max(opnorm(q @ q - q), opnorm(q.conj().T - q)) for q in qs),
+            "orthogonality_defect": max(opnorm(a @ b) for a, b in itertools.combinations(qs, 2)),
+            "completeness_defect": opnorm(p1 + p2 + p3 - eye),
+            "unitarity_defect": max(opnorm(xc.conj().T @ xc - ik), opnorm(xc @ xc.conj().T - ik))
+            if xc.size
+            else 0.0,
+            "commutation_defect": opnorm(p1 @ x - x @ p1),
+            "reconstruction_defect": opnorm(rebuilt - x),
+            "boundary_overlap_rank": float(overlap),
+            "rejected_tail_norm": opnorm(x @ qs[-1] @ x.conj().T),
+        },
+    }
+
+
+def assert_report_matches(got, want, tol=1e-10):
+    assert {k: got[k] for k in ("q_ranks", "unitary_rank", "kernel_rank")} == {
+        k: want[k] for k in ("q_ranks", "unitary_rank", "kernel_rank")
+    }
+    assert np.allclose(got["a_eigenvalues"], want["a_eigenvalues"], rtol=0, atol=tol)
+    assert got["residuals"].keys() == want["residuals"].keys()
+    for key, value in want["residuals"].items():
+        assert abs(got["residuals"][key] - value) <= tol, key
+
+
+class TestFiberBasisRecursion:
+    def test_matches_dense_reference_on_conjugated_models(self, rng):
+        for trial in range(8):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(3, 9))
+            a = random_positive_definite(rng, d)
+            x = conjugate_random(realize(TruncatedShiftModel(d, n, a)), int(rng.integers(0, 2**31)))
+            assert_report_matches(wold_decompose(x).to_json(), dense_reference(x))
+
+    def test_matches_dense_reference_with_unitary_and_kernel(self, rng):
+        x = np.zeros((12, 12), dtype=complex)
+        x[:8, :8] = realize(TruncatedShiftModel(2, 4, random_positive_definite(rng, 2)))
+        x[8:11, 8:11] = random_unitary(3, rng)
+        x = conjugate_random(x, 5)
+        want = dense_reference(x)
+        assert (want["unitary_rank"], want["kernel_rank"]) == (3, 1)
+        assert_report_matches(wold_decompose(x).to_json(), want)
+
+    def test_matches_dense_reference_at_depth_20(self, rng):
+        a = random_positive_definite(rng, 3)
+        x = conjugate_random(realize(TruncatedShiftModel(3, 20, a)), 11)
+        got = wold_decompose(x).to_json()
+        assert got["q_ranks"] == [3] * 20
+        assert_report_matches(got, dense_reference(x))
+
+    def test_matches_dense_reference_off_the_identity(self, rng):
+        # shrunken late steps and a non-unitary similarity make every defect
+        # sizable, so the Gram-block formulas are compared where they matter
+        x = realize(TruncatedShiftModel(2, 8, np.diag([0.5, 0.9]).astype(complex)))
+        x[6:, :] *= 0.95
+        s = np.eye(16) + 0.02 * rng.standard_normal((16, 16))
+        x = conjugate_random(s @ x @ np.linalg.inv(s), 7)
+        want = dense_reference(x, tol=0.3)
+        assert min(want["residuals"][k] for k in ("projection_defect", "orthogonality_defect")) > 0.01
+        assert_report_matches(wold_decompose(x, tol=0.3).to_json(), want)
+
+    def test_tail_cut_on_squared_singular_value(self):
+        # a last step of weight 0.7 ends the recursion, as ||X Q X*|| = 0.49 < 1/2;
+        # it breaks the identity by 0.51 one slot early, hence the loose tol
+        x = realize(diag_model(6, 0.9))
+        x[5, 4] = 0.7
+        got = wold_decompose(x, tol=0.55).to_json()
+        assert got["q_ranks"] == [1] * 5
+        assert got["residuals"]["rejected_tail_norm"] == pytest.approx(0.49, abs=1e-12)
+        assert_report_matches(got, dense_reference(x, tol=0.55))
+
+    @staticmethod
+    def square_factorizations(monkeypatch, x) -> int:
+        """Calls of svd/eigh/eigvalsh/eigvals/norm(., 2) on n x n operands."""
+        n = x.shape[0]
+        count = 0
+
+        def counted(fn, is_norm=False):
+            def wrapper(a, *args, **kwargs):
+                nonlocal count
+                ord_ = args[0] if args else kwargs.get("ord")
+                if np.shape(a)[-2:] == (n, n) and (not is_norm or ord_ == 2):
+                    count += 1
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("svd", "eigh", "eigvalsh", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, "norm", counted(np.linalg.norm, is_norm=True))
+        wold_decompose(x)
+        monkeypatch.undo()
+        return count
+
+    def test_factorization_count_independent_of_depth(self, monkeypatch):
+        a = np.diag([0.4, 0.8]).astype(complex)
+        counts = [
+            self.square_factorizations(
+                monkeypatch, conjugate_random(realize(TruncatedShiftModel(2, depth, a)), depth)
+            )
+            for depth in (8, 32)
+        ]
+        assert counts[0] == counts[1] <= 12
