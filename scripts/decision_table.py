@@ -1,24 +1,16 @@
 #!/usr/bin/env python3
 """Print the decision table for a family of spectra.
 
-For each spectrum: non-proper admissibility, the two infinite-projection
-criteria, and K-ranks of the proper (and, when admissible, non-proper)
-generator algebras.
+For each spectrum, one line holding the report of ``scalex classify``:
+non-proper admissibility, the two infinite-projection criteria, and K-ranks
+of the proper (and, when admissible, non-proper) generator algebras.
 """
 
 import argparse
 import json
 
-from scalex.ktheory import k_of_generator
-from scalex.spectra import (
-    GeneratorDescriptor,
-    Properness,
-    ScalingSpectrum,
-    has_compact_open_at_one,
-    has_infinite_projection,
-    nonproper_admissible,
-    normalize,
-)
+from scalex.cli import classify_report
+from scalex.spectra import ScalingSpectrum, normalize
 
 DEFAULT_FAMILY = [
     [(0, 0), (1, 1)],
@@ -33,22 +25,6 @@ DEFAULT_FAMILY = [
 ]
 
 
-def row(spectrum: ScalingSpectrum) -> dict:
-    admissible = nonproper_admissible(spectrum)
-    k_proper = k_of_generator(GeneratorDescriptor(spectrum, Properness.PROPER))
-    out = {
-        "spectrum": spectrum.to_json()["intervals"],
-        "nonproper_admissible": admissible,
-        "infinite_projection": has_infinite_projection(spectrum),
-        "compact_open_at_one": has_compact_open_at_one(spectrum),
-        "k_proper": [k_proper.k0_rank, k_proper.k1_rank],
-    }
-    if admissible:
-        k_np = k_of_generator(GeneratorDescriptor(spectrum, Properness.NON_PROPER))
-        out["k_nonproper"] = [k_np.k0_rank, k_np.k1_rank]
-    return out
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--spec", action="append", default=[], help="extra spectral-set JSON")
@@ -57,7 +33,7 @@ def main() -> None:
     spectra = [ScalingSpectrum(normalize(p)) for p in DEFAULT_FAMILY]
     spectra += [ScalingSpectrum.from_json(json.loads(s)) for s in args.spec]
     for s in spectra:
-        print(json.dumps(row(s)))
+        print(json.dumps(classify_report(s), sort_keys=True))
 
 
 if __name__ == "__main__":

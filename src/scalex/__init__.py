@@ -1,4 +1,9 @@
-"""scalex: decision engine and numerical lab for scaling-element C*-algebras."""
+"""scalex: decision engine and numerical lab for scaling-element C*-algebras.
+
+The numpy-backed lab (``operators``, ``wold``, ``pairs``) loads on first access.
+"""
+
+from importlib import import_module as _import_module
 
 from .spectra import (
     GeneratorDescriptor,
@@ -24,28 +29,32 @@ from .ktheory import (
     k_of_quotient_algebra,
     k_of_toeplitz_algebra,
 )
-from .operators import (
-    PiecewiseFunction,
-    PropernessVerdict,
-    TruncatedShiftModel,
-    classify_properness,
-    conjugate_random,
-    estimate_spectrum,
-    functional_calculus,
-    infinite_projection_witness,
-    realize,
-    scaling_defect,
-    synthesize,
-)
-from .wold import WoldReport, polar, reconstruct, supports, wold_decompose
-from .pairs import (
-    SampledFunction,
-    SampledPairRep,
-    defect_projection,
-    function_action,
-    matrix_units,
-    pair_relation_check,
-    shift_action,
-)
+
+# lab module -> public names; numpy loads with the first of them that is used
+_LAB = {
+    "operators": (
+        "PiecewiseFunction", "PropernessVerdict", "TruncatedShiftModel", "classify_properness",
+        "conjugate_random", "estimate_spectrum", "functional_calculus",
+        "infinite_projection_witness", "realize", "scaling_defect", "synthesize",
+    ),
+    "wold": ("WoldReport", "polar", "reconstruct", "supports", "wold_decompose"),
+    "pairs": (
+        "SampledFunction", "SampledPairRep", "defect_projection", "function_action",
+        "matrix_units", "pair_relation_check", "shift_action",
+    ),
+}
 
 __version__ = "0.1.0"
+__all__ = sorted({n for n in globals() if not n.startswith("_")}.union(_LAB, *_LAB.values()))
+
+
+def __getattr__(name: str):
+    for module, names in _LAB.items():
+        if name == module or name in names:
+            lab = _import_module(f".{module}", __name__)
+            return lab if name == module else getattr(lab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

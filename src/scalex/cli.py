@@ -14,19 +14,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import matio
 from .errors import AdmissibilityError, ScalexError
 from .ktheory import PuncturedSet, k_of_functions, k_of_generator
-from .operators import (
-    classify_properness,
-    estimate_spectrum,
-    infinite_projection_witness,
-    realize,
-    scaling_defect,
-    synthesize,
-)
 from .spectra import (
     GeneratorDescriptor,
     Properness,
@@ -38,11 +27,28 @@ from .spectra import (
     iso_exists,
     nonproper_admissible,
 )
-from .wold import wold_decompose
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INADMISSIBLE = 3
+LAB_COMMANDS = ("synth", "wold", "verify", "witness", "specestimate")
+
+
+def _bind_lab() -> None:
+    """Bind the numpy-backed lab as module globals on the first lab subcommand.
+
+    Bound once and never rebound, so wrappers installed on them from outside stay.
+    """
+    global np, matio, classify_properness, estimate_spectrum, infinite_projection_witness
+    global realize, require_square, scaling_defect, synthesize, wold_decompose
+    if "wold_decompose" in globals():
+        return
+    import numpy as np
+
+    from . import matio
+    from .operators import classify_properness, estimate_spectrum, infinite_projection_witness
+    from .operators import realize, require_square, scaling_defect, synthesize
+    from .wold import wold_decompose
 
 
 @dataclass
@@ -84,7 +90,7 @@ def _load_operand(path: str) -> tuple[np.ndarray, int | None]:
     if path.endswith(".json"):
         model = matio.load_model(path)
         return realize(model), model.fiber_dim
-    return matio.load_matrix(path), None
+    return require_square(matio.load_matrix(path)), None
 
 
 def _properness_flag(name: str) -> Properness:
@@ -94,8 +100,8 @@ def _properness_flag(name: str) -> Properness:
         raise ValueError(f"properness must be 'proper' or 'nonproper', got {name!r}") from None
 
 
-def cmd_classify(args: argparse.Namespace) -> dict:
-    spectrum = ScalingSpectrum.from_json(_load_json_arg(args.spec))
+def classify_report(spectrum: ScalingSpectrum) -> dict:
+    """Admissibility, infinite projections and K-ranks: the ``classify`` report."""
     admissible = nonproper_admissible(spectrum)
     infinite = has_infinite_projection(spectrum)
     compact_open = has_compact_open_at_one(spectrum)
@@ -114,6 +120,10 @@ def cmd_classify(args: argparse.Namespace) -> dict:
         k_np = k_of_generator(GeneratorDescriptor(spectrum, Properness.NON_PROPER))
         report["k_nonproper"] = [k_np.k0_rank, k_np.k1_rank]
     return report
+
+
+def cmd_classify(args: argparse.Namespace) -> dict:
+    return classify_report(ScalingSpectrum.from_json(_load_json_arg(args.spec)))
 
 
 def cmd_homcheck(args: argparse.Namespace) -> dict:
@@ -306,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in LAB_COMMANDS:
+        _bind_lab()
     try:
         report = args.func(args)
     except AdmissibilityError as exc:

@@ -33,6 +33,7 @@ __all__ = [
     "WitnessReport",
     "PiecewiseFunction",
     "opnorm",
+    "require_square",
     "matrix_abs",
     "realize",
     "scaling_defect",
@@ -54,6 +55,14 @@ def opnorm(x: np.ndarray) -> float:
     if x.size == 0:
         return 0.0
     return float(np.linalg.norm(x, 2))
+
+
+def require_square(x: np.ndarray) -> np.ndarray:
+    """x itself, once checked to be a non-empty square matrix; else :class:`DimensionMismatch`."""
+    shape = np.shape(x)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise DimensionMismatch(f"need a non-empty square matrix, got shape {shape}")
+    return x
 
 
 def _opnorm_at_most(m: np.ndarray, tol: float) -> bool:
@@ -119,7 +128,7 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
     range lies in the last fiber slot within 1e-10; without one the slot
     structure is unknown and the flag is None.
     """
-    r = _defect(np.asarray(x, dtype=complex))
+    r = _defect(require_square(np.asarray(x, dtype=complex)))
     norm = opnorm(r)
     localized = None
     if fiber_dim is not None:
@@ -130,18 +139,14 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
     return ScalingDefect(norm, localized)
 
 
-def defect_is_boundary(x: np.ndarray, tol: float) -> bool:
+def defect_is_boundary(residual: np.ndarray, right: np.ndarray, tol: float) -> bool:
     """Basis-free boundary test: the residual's range avoids the right support.
 
-    For truncated models the last slot is exactly the complement of the right
-    support, and this formulation survives unitary conjugation.
+    ``right`` is an orthonormal basis of the right support.  For truncated
+    models the last slot is exactly the complement of the right support, and
+    this formulation survives unitary conjugation.
     """
-    r = _defect(x)
-    if _opnorm_at_most(r, tol):
-        return True
-    _, s, vh = np.linalg.svd(x)
-    right = vh.conj().T[:, s > tol]
-    return _opnorm_at_most(right @ (right.conj().T @ r), tol)
+    return _opnorm_at_most(right @ (right.conj().T @ residual), tol)
 
 
 def estimate_spectrum(x: np.ndarray, cluster_tol: float) -> SpectralSet:
@@ -153,10 +158,7 @@ def estimate_spectrum(x: np.ndarray, cluster_tol: float) -> SpectralSet:
     """
     if cluster_tol <= 0:
         raise NotAdmissible("cluster_tol must be > 0")
-    shape = np.shape(x)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-        raise DimensionMismatch(f"need a non-empty square matrix, got shape {shape}")
-    s = np.sort(np.linalg.svd(x, compute_uv=False))
+    s = np.sort(np.linalg.svd(require_square(x), compute_uv=False))
     intervals = []
     lo = hi = float(s[0])
     for v in s[1:]:
@@ -226,11 +228,29 @@ def _require_scalinglike(x: np.ndarray, tol: float, fiber_dim: int | None) -> No
     d = scaling_defect(x, fiber_dim)
     if d.residual_norm <= tol:
         return
-    ok = d.boundary_localized if d.boundary_localized is not None else defect_is_boundary(x, tol)
+    ok = d.boundary_localized
+    if ok is None:
+        _, s, vh = np.linalg.svd(x)
+        ok = defect_is_boundary(_defect(x), vh[s > tol].conj().T, tol)
     if not ok:
         raise NotScalinglike(
             f"scaling identity fails by {d.residual_norm:.3e} away from the boundary slot"
         )
+
+
+def _has_shift_summand(coker: np.ndarray, ker: np.ndarray) -> bool:
+    """Whether right minus left support has an eigenvalue above 1/2 (Wold's q0).
+
+    That eigenvalue is the largest sine of the angles between ker X and ker X*.
+    The m squared sines sum to t = m - ||coker* ker||_F^2, so the largest lies
+    in [t/m, t]; an m x m SVD decides only when that range straddles 1/4.
+    """
+    m = ker.shape[1]
+    cos = coker.conj().T @ ker
+    t = m - float(np.sum(np.abs(cos) ** 2))
+    if t <= 0.25 or t > 0.25 * m:
+        return t > 0.25
+    return bool(np.min(np.linalg.svd(cos, compute_uv=False)) ** 2 < 0.75)
 
 
 def classify_properness(
@@ -243,11 +263,14 @@ def classify_properness(
 
     Non-proper needs spectral gaps just above 0 and around 1 (the compactness
     side) and agreement, away from the boundary slot, between the spectral
-    projection of |X| at 1 and the left support of X.
+    projection of |X| at 1 and the left support of X.  An X without a shift
+    summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
     """
-    x = np.asarray(x, dtype=complex)
+    x = require_square(np.asarray(x, dtype=complex))
     _require_scalinglike(x, tol, fiber_dim)
     u, s, vh = np.linalg.svd(x)
+    if not _has_shift_summand(u[:, s <= tol], vh[s <= tol].conj().T):
+        raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
     # distances of the singular values from the two distinguished points
     dist0, dist1 = s, np.abs(s - 1.0)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotScalinglike
-from .operators import defect_is_boundary, opnorm, _defect
+from .errors import NoConvergence, NotScalinglike
+from .operators import defect_is_boundary, opnorm, require_square, _defect
 
 __all__ = ["SupportPair", "WoldReport", "supports", "polar", "wold_decompose", "reconstruct"]
 
@@ -32,17 +32,17 @@ class SupportPair:
     left: np.ndarray
 
 
-def supports(x: np.ndarray, tol: float = 1e-9) -> SupportPair:
-    """Right and left support projections (row/column space) via SVD."""
-    x = np.asarray(x, dtype=complex)
+def _support_bases(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the right and left supports, from one SVD."""
     u, s, vh = np.linalg.svd(x)
     keep = s > tol
-    right_basis = vh.conj().T[:, keep]
-    left_basis = u[:, keep]
-    return SupportPair(
-        right=right_basis @ right_basis.conj().T,
-        left=left_basis @ left_basis.conj().T,
-    )
+    return vh.conj().T[:, keep], u[:, keep]
+
+
+def supports(x: np.ndarray, tol: float = 1e-9) -> SupportPair:
+    """Right and left support projections (row/column space) via SVD."""
+    right, left = _support_bases(np.asarray(x, dtype=complex), tol)
+    return SupportPair(right=right @ right.conj().T, left=left @ left.conj().T)
 
 
 def polar(x: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -124,25 +124,25 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
     singular values of the n x r image X V_k.
 
     Raises :class:`NotScalinglike` when the scaling identity fails beyond tol
-    away from the boundary, and :class:`NoConvergence` when the fiber
-    recursion exceeds max_steps (default: the dimension) without dying out.
+    away from the boundary, :class:`NoConvergence` when the fiber recursion
+    exceeds max_steps (default: the dimension) without dying out, and
+    :class:`DimensionMismatch` on an empty or non-square x.
     """
-    x = np.asarray(x, dtype=complex)
+    x = require_square(np.asarray(x, dtype=complex))
     n = x.shape[0]
-    if x.shape != (n, n):
-        raise DimensionMismatch("input must be square")
     if max_steps is None:
         max_steps = n
 
+    # one SVD serves the boundary test and both supports
+    right, left = _support_bases(x, tol)
     residual = _defect(x)
     defect_norm = opnorm(residual)
-    if defect_norm > tol and not defect_is_boundary(x, tol):
+    if defect_norm > tol and not defect_is_boundary(residual, right, tol):
         raise NotScalinglike(
             f"scaling identity fails by {defect_norm:.3e} outside the boundary summand"
         )
 
-    sup = supports(x, tol)
-    p0, p0p = sup.right, sup.left
+    p0, p0p = right @ right.conj().T, left @ left.conj().T
     eye = np.eye(n, dtype=complex)
 
     # the literal difference right - left is a projection only when the

@@ -190,6 +190,26 @@ class TestBadOperands:
         assert code == 2 and doc["kind"] == kind
 
 
+    @pytest.mark.parametrize("command", ["verify", "wold"])
+    @pytest.mark.parametrize("text", ["0 0\n", "2 3\n1,0 0,0 0,0\n0,0 1,0 0,0\n"], ids=["empty", "2x3"])
+    def test_verify_and_wold_reject_bad_shapes(self, capsys, tmp_path, command, text):
+        path = tmp_path / "bad.mat"
+        path.write_text(text)
+        code, rep = run(capsys, command, "--in", str(path))
+        assert code == 2 and rep["kind"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3 3\n1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n", "3 3\n" + "0,0 0,0 0,0\n" * 3, "2 2\n1,0 0,0\n0,0 0,0\n"],
+        ids=["identity", "zero", "diag-1-0"],
+    )
+    def test_verify_gives_no_verdict_for_a_normal_operator(self, capsys, tmp_path, text):
+        path = tmp_path / "normal.mat"
+        path.write_text(text)
+        code, rep = run(capsys, "verify", "--in", str(path))
+        assert code == 3 and rep["kind"] == "NotAdmissible"
+
+
 class TestDeterminism:
     def strip_timestamp(self, rep):
         rep = dict(rep)
@@ -225,3 +245,35 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["infinite_projection"] is True
+
+
+BLOCKED = json.dumps({"spectrum": json.loads(ZERO_TAIL), "proper": False})
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["classify", "--spec", POINTS_0H1], 0),
+        (["classify", "--spec", '{"intervals": [[1,0]]}'], 2),
+        (["classify", "--spec", '{"intervals": [[0.5,0.5]]}'], 3),
+        (["homcheck", "--from", descriptor(POINTS_0H1), "--to", descriptor(POINTS_01)], 0),
+        (["homcheck", "--from", "{broken", "--to", descriptor(POINTS_01)], 2),
+        (["homcheck", "--from", BLOCKED, "--to", descriptor(POINTS_01)], 3),
+        (["isocheck", "--from", descriptor(POINTS_0H1), "--to", descriptor(POINTS_01)], 0),
+        (["isocheck", "--from", descriptor(POINTS_0H1), "--to", '{"spectrum": {}}'], 2),
+        (["isocheck", "--from", descriptor(POINTS_0H1), "--to", BLOCKED], 3),
+        (["kgroups", "--spec", descriptor(POINTS_01)], 0),
+        (["kgroups", "--spec", '{"base": {"intervals": [[0,1]]}, "removed": "x"}'], 2),
+        (["kgroups", "--spec", '{"base": {"intervals": [[0,1]]}, "removed": [2]}'], 3),
+    ],
+)
+def test_exact_engine_runs_without_numpy(argv, want):
+    # -X importtime logs every module the interpreter loads, to stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "scalex", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == want, proc.stdout
+    json.loads(proc.stdout)
+    loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "scalex.spectra" in loaded
+    assert not {m for m in loaded if m.partition(".")[0] == "numpy"}

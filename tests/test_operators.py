@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from scalex.errors import IllConditioned, NoGap, NotAdmissible, UndefinedAt
+from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NotAdmissible, UndefinedAt
 from scalex.operators import (
     PiecewiseFunction,
+    _has_shift_summand,
     TruncatedShiftModel,
     classify_properness,
     conjugate_random,
@@ -11,6 +12,7 @@ from scalex.operators import (
     functional_calculus,
     infinite_projection_witness,
     opnorm,
+    random_unitary,
     realize,
     scaling_defect,
     synthesize,
@@ -214,6 +216,52 @@ class TestClassifyProperness:
             m = synthesize(s, flag, 6, 4, seed=1)
             v = classify_properness(realize(m), fiber_dim=m.fiber_dim)
             assert v.verdict is flag
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.eye(3), np.zeros((3, 3)), np.diag([1.0, 0.0]), conjugate_random(np.diag([1.0, 1.0, 0.0]), 4)],
+        ids=["identity", "zero", "diag-1-0", "conjugated-projection"],
+    )
+    def test_normal_operator_gets_no_verdict(self, x):
+        # no shift summand: right and left supports coincide, so X is not a scaling element
+        with pytest.raises(NotAdmissible, match="no shift summand"):
+            classify_properness(x)
+
+    def test_shift_beside_a_large_kernel_gets_a_verdict(self):
+        x = np.zeros((10, 10), dtype=complex)
+        x[:6, :6] = realize(diag_model(6, 0.5))
+        assert isinstance(classify_properness(conjugate_random(x, 9)).verdict, Properness)
+
+    def test_one_svd_per_call(self, monkeypatch):
+        # the shift-summand test reuses the verdict's SVD
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *rest, **kw: calls.append(a.shape) or svd(a, *rest, **kw))
+        classify_properness(realize(diag_model(6, 0.5, 0.7)), fiber_dim=2)
+        assert calls == [(12, 12)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_shift_summand_test_is_the_half_cut_of_right_minus_left_support(seed):
+    # m kernel directions of X, each tilted by up to 60 degrees into the kernel
+    # of X*; the seeds reach all three branches of the test
+    rng = np.random.default_rng(seed)
+    n, m = 12, int(rng.integers(0, 7))
+    theta = rng.uniform(0, np.pi / 3, size=m)
+    w = random_unitary(n, rng)
+    ker, coker = w[:, :m], w[:, :m] * np.cos(theta) + w[:, m : 2 * m] * np.sin(theta)
+    right_minus_left = coker @ coker.conj().T - ker @ ker.conj().T
+    assert _has_shift_summand(coker, ker) is bool(np.linalg.eigvalsh(right_minus_left)[-1] > 0.5)
+
+@pytest.mark.parametrize("x", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(4)], ids=["empty", "2x3", "1-d"])
+@pytest.mark.parametrize(
+    "call",
+    [scaling_defect, classify_properness, lambda x: estimate_spectrum(x, 1e-8)],
+    ids=["scaling_defect", "classify_properness", "estimate_spectrum"],
+)
+def test_bad_shape_is_a_dimension_mismatch(call, x):
+    with pytest.raises(DimensionMismatch):
+        call(x)
 
 
 class TestFunctionalCalculus:

@@ -1,0 +1,59 @@
+import subprocess
+import sys
+
+import pytest
+
+import scalex
+
+README_NAMES = [
+    "ScalingSpectrum",
+    "Properness",
+    "has_infinite_projection",
+    "synthesize",
+    "realize",
+    "classify_properness",
+    "wold_decompose",
+]
+
+
+def test_readme_import_line():
+    from scalex import (  # noqa: F401
+        Properness,
+        ScalingSpectrum,
+        classify_properness,
+        has_infinite_projection,
+        realize,
+        synthesize,
+        wold_decompose,
+    )
+    from scalex.operators import synthesize as direct
+
+    assert synthesize is direct
+
+
+def test_dir_lists_eager_and_lab_names():
+    names = dir(scalex)
+    for name in README_NAMES + ["operators", "wold", "pairs", "matrix_units", "WoldReport", "__version__"]:
+        assert name in names, name
+
+
+def test_lab_modules_resolve_as_attributes():
+    assert scalex.wold.wold_decompose is scalex.wold_decompose
+    assert scalex.pairs.matrix_units is scalex.matrix_units
+
+
+def test_star_import_still_exports_the_lab():
+    ns = {}
+    exec("from scalex import *", ns)
+    assert {"wold_decompose", "classify_properness", "hom_exists", "k_of_generator"} <= ns.keys()
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        scalex.no_such_name
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, scalex; scalex.hom_exists; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from scalex.errors import NoConvergence, NotScalinglike
+from scalex.errors import DimensionMismatch, NoConvergence, NotScalinglike
 from scalex.operators import conjugate_random, opnorm, random_unitary, realize, scaling_defect
 from scalex.operators import TruncatedShiftModel
 from scalex.wold import polar, reconstruct, supports, wold_decompose
@@ -315,4 +315,11 @@ class TestFiberBasisRecursion:
             )
             for depth in (8, 32)
         ]
-        assert counts[0] == counts[1] <= 12
+        # one SVD shared by the boundary test and the supports, 3 eigh, 4 norms
+        assert counts[0] == counts[1] == 8
+
+
+@pytest.mark.parametrize("x", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(4)], ids=["empty", "2x3", "1-d"])
+def test_bad_shape_is_a_dimension_mismatch(x):
+    with pytest.raises(DimensionMismatch):
+        wold_decompose(x)
