@@ -1,7 +1,4 @@
-"""scalex: decision engine and numerical lab for scaling-element C*-algebras.
-
-The numpy-backed lab (``operators``, ``wold``, ``pairs``) loads on first access.
-"""
+"""scalex: decision engine and numerical lab for scaling-element C*-algebras."""
 
 from importlib import import_module as _import_module
 

@@ -31,23 +31,19 @@ from .spectra import (
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INADMISSIBLE = 3
-LAB_COMMANDS = ("synth", "wold", "verify", "witness", "specestimate")
 
 
 def _bind_lab() -> None:
-    """Bind the numpy-backed lab as module globals on the first lab subcommand.
-
-    Bound once and never rebound, so wrappers installed on them from outside stay.
-    """
+    """Bind the numpy-backed lab as module globals, once, so wrappers put on them stay."""
     global np, matio, classify_properness, estimate_spectrum, infinite_projection_witness
-    global realize, require_square, scaling_defect, synthesize, wold_decompose
+    global realize, scaling_defect, synthesize, wold_decompose
     if "wold_decompose" in globals():
         return
     import numpy as np
 
     from . import matio
     from .operators import classify_properness, estimate_spectrum, infinite_projection_witness
-    from .operators import realize, require_square, scaling_defect, synthesize
+    from .operators import realize, scaling_defect, synthesize
     from .wold import wold_decompose
 
 
@@ -87,10 +83,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 def _load_operand(path: str) -> tuple[np.ndarray, int | None]:
     """A matrix plus its fiber dimension when the input is a model file."""
+    _bind_lab()
     if path.endswith(".json"):
         model = matio.load_model(path)
         return realize(model), model.fiber_dim
-    return require_square(matio.load_matrix(path)), None
+    return matio.load_matrix(path), None
 
 
 def _properness_flag(name: str) -> Properness:
@@ -175,6 +172,7 @@ def cmd_kgroups(args: argparse.Namespace) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace) -> dict:
+    _bind_lab()
     cfg = _config_from(args)
     spectrum = ScalingSpectrum.from_json(_load_json_arg(args.spec))
     flag = _properness_flag(args.properness)
@@ -316,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in LAB_COMMANDS:
-        _bind_lab()
     try:
         report = args.func(args)
     except AdmissibilityError as exc:

@@ -139,6 +139,13 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
     return ScalingDefect(norm, localized)
 
 
+def _support_bases(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the right and left supports, from one SVD."""
+    u, s, vh = np.linalg.svd(x)
+    keep = s > tol
+    return vh.conj().T[:, keep], u[:, keep]
+
+
 def defect_is_boundary(residual: np.ndarray, right: np.ndarray, tol: float) -> bool:
     """Basis-free boundary test: the residual's range avoids the right support.
 
@@ -230,8 +237,7 @@ def _require_scalinglike(x: np.ndarray, tol: float, fiber_dim: int | None) -> No
         return
     ok = d.boundary_localized
     if ok is None:
-        _, s, vh = np.linalg.svd(x)
-        ok = defect_is_boundary(_defect(x), vh[s > tol].conj().T, tol)
+        ok = defect_is_boundary(_defect(x), _support_bases(x, tol)[0], tol)
     if not ok:
         raise NotScalinglike(
             f"scaling identity fails by {d.residual_norm:.3e} away from the boundary slot"
@@ -241,16 +247,11 @@ def _require_scalinglike(x: np.ndarray, tol: float, fiber_dim: int | None) -> No
 def _has_shift_summand(coker: np.ndarray, ker: np.ndarray) -> bool:
     """Whether right minus left support has an eigenvalue above 1/2 (Wold's q0).
 
-    That eigenvalue is the largest sine of the angles between ker X and ker X*.
-    The m squared sines sum to t = m - ||coker* ker||_F^2, so the largest lies
-    in [t/m, t]; an m x m SVD decides only when that range straddles 1/4.
+    That eigenvalue is the largest sine of the angles between ker X and ker X*,
+    whose cosines are the singular values of coker* ker.
     """
-    m = ker.shape[1]
-    cos = coker.conj().T @ ker
-    t = m - float(np.sum(np.abs(cos) ** 2))
-    if t <= 0.25 or t > 0.25 * m:
-        return t > 0.25
-    return bool(np.min(np.linalg.svd(cos, compute_uv=False)) ** 2 < 0.75)
+    cos = np.linalg.svd(coker.conj().T @ ker, compute_uv=False)
+    return bool(np.min(cos, initial=1.0) ** 2 < 0.75)
 
 
 def classify_properness(
@@ -266,7 +267,7 @@ def classify_properness(
     projection of |X| at 1 and the left support of X.  An X without a shift
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
     """
-    x = require_square(np.asarray(x, dtype=complex))
+    x = np.asarray(x, dtype=complex)
     _require_scalinglike(x, tol, fiber_dim)
     u, s, vh = np.linalg.svd(x)
     if not _has_shift_summand(u[:, s <= tol], vh[s <= tol].conj().T):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, NotScalinglike
-from .operators import defect_is_boundary, opnorm, require_square, _defect
+from .operators import defect_is_boundary, opnorm, require_square, _defect, _support_bases
 
 __all__ = ["SupportPair", "WoldReport", "supports", "polar", "wold_decompose", "reconstruct"]
 
@@ -30,13 +30,6 @@ __all__ = ["SupportPair", "WoldReport", "supports", "polar", "wold_decompose", "
 class SupportPair:
     right: np.ndarray
     left: np.ndarray
-
-
-def _support_bases(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the right and left supports, from one SVD."""
-    u, s, vh = np.linalg.svd(x)
-    keep = s > tol
-    return vh.conj().T[:, keep], u[:, keep]
 
 
 def supports(x: np.ndarray, tol: float = 1e-9) -> SupportPair:
