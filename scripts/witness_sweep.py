@@ -9,6 +9,7 @@ exact decision for the same spectrum.
 
 import argparse
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,18 +33,13 @@ def main() -> None:
 
     any_witness = False
     for c in np.linspace(0.0, 1.0, args.cuts + 2)[1:-1]:
-        entry = {"gap_point": round(float(c), 6)}
+        entry = {"gap_point": round(float(c), 6), "witness": False}
         try:
             _, rep = infinite_projection_witness(x, float(c), fiber_dim=model.fiber_dim)
-            entry.update(
-                witness=True,
-                projection_defect=rep.projection_defect,
-                dominated=rep.dominated,
-                norm_difference=rep.norm_difference,
-            )
+            entry = {**asdict(rep), **entry, "witness": True}
             any_witness = True
         except NoGap:
-            entry.update(witness=False)
+            pass
         print(json.dumps(entry))
 
     decision = has_infinite_projection(spectrum)

@@ -12,7 +12,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import AdmissibilityError, ScalexError
 from .ktheory import PuncturedSet, k_of_functions, k_of_generator
@@ -215,10 +215,8 @@ def cmd_verify(args: argparse.Namespace) -> dict:
     defect = scaling_defect(x, fiber_dim)
     verdict = classify_properness(x, cfg.cluster_tol, cfg.gap_tol, fiber_dim)
     return {
+        **asdict(verdict),
         "verdict": verdict.verdict.value,
-        "gap_at_0": verdict.gap_at_0,
-        "gap_at_1": verdict.gap_at_1,
-        "projection_distance": verdict.projection_distance,
         "scaling_residual": defect.residual_norm,
         "boundary_localized": defect.boundary_localized,
     }
@@ -231,10 +229,7 @@ def cmd_witness(args: argparse.Namespace) -> dict:
         x, args.gap, cfg.tolerance, cfg.cluster_tol, fiber_dim
     )
     out = {
-        "gap_point": report.gap_point,
-        "projection_defect": report.projection_defect,
-        "dominated": report.dominated,
-        "norm_difference": report.norm_difference,
+        **asdict(report),
         "infinite_projection_witnessed": bool(
             report.projection_defect <= 1e-8 and report.dominated and report.norm_difference >= 0.5
         ),

@@ -11,7 +11,9 @@ entries are numbers or ``[re, im]`` pairs.
 from __future__ import annotations
 
 import json
+import operator
 import os
+from itertools import repeat
 
 import numpy as np
 
@@ -26,8 +28,8 @@ def save_matrix(path: str, m: np.ndarray) -> None:
     rows, cols = m.shape
     with open(path, "w") as fh:
         fh.write(f"{rows} {cols}\n")
-        for r in range(rows):
-            fh.write(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in m[r]) + "\n")
+        for row in m:
+            fh.write(" ".join([f"{z.real!r},{z.imag!r}" for z in row.tolist()]) + "\n")
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -36,12 +38,17 @@ def load_matrix(path: str) -> np.ndarray:
         if len(header) != 2:
             raise DimensionMismatch(f"{path}: malformed matrix header {header!r}")
         rows, cols = int(header[0]), int(header[1])
-        out = np.zeros((rows, cols), dtype=complex)
+        try:
+            out = np.zeros((rows, cols), dtype=complex)
+        except MemoryError:
+            raise DimensionMismatch(f"{path}: header claims a {rows}x{cols} matrix") from None
         for r in range(rows):
-            fields = fh.readline().split()
+            line = fh.readline()
+            fields = line.split()
             if len(fields) != cols:
                 raise DimensionMismatch(f"{path}: row {r} has {len(fields)} fields, expected {cols}")
-            if any(f.count(",") != 1 for f in fields):
+            # cols commas in cols fields, each holding one or more: one comma per field
+            if line.count(",") != cols or not all(map(operator.contains, fields, repeat(","))):
                 raise ValueError(f"{path}: row {r} has a field that is not one re,im pair")
             if cols:
                 # interleaved re, im doubles are the memory layout of complex128
@@ -82,10 +89,13 @@ def _entry_from_json(v) -> complex:
 def load_model(path: str) -> TruncatedShiftModel:
     with open(path) as fh:
         obj = json.load(fh)
-    a_field = obj["A"]
-    if isinstance(a_field, str):
-        a = load_matrix(os.path.join(os.path.dirname(os.path.abspath(path)), a_field))
-    else:
-        a = np.array([[_entry_from_json(v) for v in row] for row in a_field], dtype=complex)
-        _require_finite(a, path)
-    return TruncatedShiftModel(int(obj["d"]), int(obj["N"]), a)
+    try:
+        a_field = obj["A"]
+        if isinstance(a_field, str):
+            a = load_matrix(os.path.join(os.path.dirname(os.path.abspath(path)), a_field))
+        else:
+            a = np.array([[_entry_from_json(v) for v in row] for row in a_field], dtype=complex)
+            _require_finite(a, path)
+        return TruncatedShiftModel(int(obj["d"]), int(obj["N"]), a)
+    except TypeError as exc:  # a JSON value of the wrong type, e.g. a list for the model
+        raise ValueError(f"{path}: not a model file: {exc}") from exc

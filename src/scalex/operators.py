@@ -10,7 +10,6 @@ slot excluded).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,9 +51,7 @@ BOUNDARY_TOL = 1e-10
 
 def opnorm(x: np.ndarray) -> float:
     """Operator (spectral) norm."""
-    if x.size == 0:
-        return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(np.linalg.norm(x, 2)) if x.size else 0.0
 
 
 def require_square(x: np.ndarray) -> np.ndarray:
@@ -104,11 +101,9 @@ class TruncatedShiftModel:
 
 def realize(m: TruncatedShiftModel) -> np.ndarray:
     """The (N d) x (N d) matrix with A on step 0 -> 1 and identities after."""
-    d, n = m.fiber_dim, m.depth
-    x = np.zeros((n * d, n * d), dtype=complex)
-    x[d : 2 * d, 0:d] = m.A
-    for k in range(1, n - 1):
-        x[(k + 1) * d : (k + 2) * d, k * d : (k + 1) * d] = np.eye(d)
+    d = m.fiber_dim
+    x = np.eye(m.dimension, k=-d, dtype=complex)  # slot k -> k + 1; the last slot -> 0
+    x[d : 2 * d, :d] = m.A
     return x
 
 
@@ -121,6 +116,15 @@ def _defect(x: np.ndarray) -> np.ndarray:
     return (x.conj().T @ x) @ x - x
 
 
+def _boundary_localized(r: np.ndarray, fiber_dim: int | None) -> bool | None:
+    """Whether the residual's range lies in the last fiber slot; None without a fiber dimension."""
+    if fiber_dim is None:
+        return None
+    if len(r) % fiber_dim:
+        raise NotAdmissible(f"dimension {len(r)} is not a multiple of fiber_dim {fiber_dim}")
+    return _opnorm_at_most(r[: len(r) - fiber_dim, :], BOUNDARY_TOL)
+
+
 def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect:
     """Residual of the scaling identity, and whether it sits in the last slot.
 
@@ -129,14 +133,7 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
     structure is unknown and the flag is None.
     """
     r = _defect(require_square(np.asarray(x, dtype=complex)))
-    norm = opnorm(r)
-    localized = None
-    if fiber_dim is not None:
-        n = x.shape[0]
-        if n % fiber_dim:
-            raise NotAdmissible(f"dimension {n} is not a multiple of fiber_dim {fiber_dim}")
-        localized = _opnorm_at_most(r[: n - fiber_dim, :], BOUNDARY_TOL)
-    return ScalingDefect(norm, localized)
+    return ScalingDefect(opnorm(r), _boundary_localized(r, fiber_dim))
 
 
 def _support_bases(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,6 +153,22 @@ def defect_is_boundary(residual: np.ndarray, right: np.ndarray, tol: float) -> b
     return _opnorm_at_most(right @ (right.conj().T @ residual), tol)
 
 
+def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
+    """Values s clustered into intervals: values closer than cluster_tol coalesce."""
+    if cluster_tol <= 0:
+        raise NotAdmissible("cluster_tol must be > 0")
+    values = np.sort(s).tolist()
+    intervals = []
+    lo = hi = values[0]
+    for v in values[1:]:
+        if v - hi > cluster_tol:
+            intervals.append((lo, hi))
+            lo = v
+        hi = v
+    intervals.append((lo, hi))
+    return normalize(intervals)
+
+
 def estimate_spectrum(x: np.ndarray, cluster_tol: float) -> SpectralSet:
     """Singular values of x, clustered into intervals of width <= the gaps.
 
@@ -163,19 +176,7 @@ def estimate_spectrum(x: np.ndarray, cluster_tol: float) -> SpectralSet:
     [min, max], so exact multiple values come back as points.  An empty or
     non-square x raises :class:`DimensionMismatch`.
     """
-    if cluster_tol <= 0:
-        raise NotAdmissible("cluster_tol must be > 0")
-    s = np.sort(np.linalg.svd(require_square(x), compute_uv=False))
-    intervals = []
-    lo = hi = float(s[0])
-    for v in s[1:]:
-        v = float(v)
-        if v - hi > cluster_tol:
-            intervals.append((lo, hi))
-            lo = v
-        hi = v
-    intervals.append((lo, hi))
-    return normalize(intervals)
+    return _clusters(np.linalg.svd(require_square(x), compute_uv=False), cluster_tol)
 
 
 def synthesize(
@@ -224,24 +225,25 @@ class PropernessVerdict:
     projection_distance: float
 
 
-def _interior(m: np.ndarray, fiber_dim: int | None) -> np.ndarray:
-    if fiber_dim is None:
-        return m
-    k = m.shape[0] - fiber_dim
-    return m[:k, :k]
+def _interior_projection(basis: np.ndarray, fiber_dim: int | None) -> np.ndarray:
+    """B B* on the interior: the basis drops the last fiber slot's rows first."""
+    b = basis if fiber_dim is None else basis[: len(basis) - fiber_dim]
+    return b @ b.conj().T
 
 
-def _require_scalinglike(x: np.ndarray, tol: float, fiber_dim: int | None) -> None:
-    d = scaling_defect(x, fiber_dim)
-    if d.residual_norm <= tol:
+def _require_scalinglike(x: np.ndarray, tol: float, fiber_dim: int | None, right: np.ndarray):
+    """Raise :class:`NotScalinglike` unless the residual is within tol or in the boundary slot.
+
+    ``right`` is the right-support basis from the caller's SVD.  The spectral
+    norm is taken only when the Frobenius bound and the boundary test both fail.
+    """
+    r = _defect(x)
+    ok = _boundary_localized(r, fiber_dim)
+    if np.linalg.norm(r) <= tol or ok or (ok is None and defect_is_boundary(r, right, tol)):
         return
-    ok = d.boundary_localized
-    if ok is None:
-        ok = defect_is_boundary(_defect(x), _support_bases(x, tol)[0], tol)
-    if not ok:
-        raise NotScalinglike(
-            f"scaling identity fails by {d.residual_norm:.3e} away from the boundary slot"
-        )
+    norm = opnorm(r)
+    if norm > tol:
+        raise NotScalinglike(f"scaling identity fails by {norm:.3e} away from the boundary slot")
 
 
 def _has_shift_summand(coker: np.ndarray, ker: np.ndarray) -> bool:
@@ -266,10 +268,11 @@ def classify_properness(
     side) and agreement, away from the boundary slot, between the spectral
     projection of |X| at 1 and the left support of X.  An X without a shift
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
+    One SVD of X serves every test.
     """
-    x = np.asarray(x, dtype=complex)
-    _require_scalinglike(x, tol, fiber_dim)
+    x = require_square(np.asarray(x, dtype=complex))
     u, s, vh = np.linalg.svd(x)
+    _require_scalinglike(x, tol, fiber_dim, vh[s > tol].conj().T)
     if not _has_shift_summand(u[:, s <= tol], vh[s <= tol].conj().T):
         raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
@@ -282,12 +285,9 @@ def classify_properness(
     gap_at_1 = not np.any((dist1 > tol) & (dist1 <= gap_tol))
 
     # eigenvectors of |X| are right singular vectors; of |X*|, left ones
-    v = vh.conj().T
-    p1 = v[:, np.abs(s - 1.0) <= tol]
-    p1 = p1 @ p1.conj().T
-    left = u[:, s > tol]
-    left = left @ left.conj().T
-    distance = opnorm(_interior(p1 - left, fiber_dim))
+    p1 = _interior_projection(vh[dist1 <= tol].conj().T, fiber_dim)
+    diff = p1 - _interior_projection(u[:, s > tol], fiber_dim)
+    distance = float(np.max(np.abs(np.linalg.eigvalsh(diff)), initial=0.0))
 
     nonproper = gap_at_0 and gap_at_1 and distance <= tol
     return PropernessVerdict(
@@ -350,20 +350,21 @@ def infinite_projection_witness(
     x = np.asarray(x, dtype=complex)
     if not (0.0 < c < 1.0):
         raise NotAdmissible(f"gap point must lie in (0, 1), got {c}")
-    if estimate_spectrum(x, cluster_tol).contains(c):
+    left, s, vh = np.linalg.svd(require_square(x))
+    if _clusters(s, cluster_tol).contains(c):
         raise NoGap(f"{c} lies in the estimated spectrum")
-    _require_scalinglike(x, tol, fiber_dim)
+    _require_scalinglike(x, tol, fiber_dim, vh[s > tol].conj().T)
 
-    # eigh of |X| can report eigenvalues a hair below 0; the flat piece absorbs them
-    g = PiecewiseFunction([(-math.inf, c, 0.0), (c, math.inf, lambda t: 1.0 / t)])
-    u = x @ functional_calculus(matrix_abs(x), g)
+    # X = L S V* and g(|X|) = V g(S) V*, so U keeps the singular pairs above c
+    left, vh = left[:, s > c], vh[s > c]
+    u = left @ vh
 
-    uu = _interior(u.conj().T @ u, fiber_dim)
-    uut = _interior(u @ u.conj().T, fiber_dim)
-    defect = opnorm(uu @ uu - uu)
-    dominated = bool(np.min(np.linalg.eigvalsh(uu - uut)) >= -tol)
-    delta = opnorm(uu - uut)
-    return u, WitnessReport(c, defect, dominated, delta)
+    uu = _interior_projection(vh.conj().T, fiber_dim)
+    uut = _interior_projection(left, fiber_dim)
+    defect = float(np.max(np.abs(np.linalg.eigvalsh(uu @ uu - uu))))
+    w = np.linalg.eigvalsh(uu - uut)
+    dominated = bool(np.min(w) >= -tol)
+    return u, WitnessReport(c, defect, dominated, float(np.max(np.abs(w))))
 
 
 def random_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:

@@ -125,11 +125,7 @@ def function_action(rep: SampledPairRep, f: SampledFunction) -> np.ndarray:
 
 def block_shift(rep: SampledPairRep) -> np.ndarray:
     """The truncated block shift: slot i -> slot i+1, last slot annihilated."""
-    k, n = rep.fiber_dim, rep.depth
-    v = np.zeros((k * n, k * n), dtype=complex)
-    for i in range(n - 1):
-        v[(i + 1) * k : (i + 2) * k, i * k : (i + 1) * k] = np.eye(k)
-    return v
+    return np.eye(rep.dimension, k=-rep.fiber_dim, dtype=complex)
 
 
 def shift_action(rep: SampledPairRep, f: SampledFunction) -> np.ndarray:
@@ -155,9 +151,11 @@ def matrix_units(rep: SampledPairRep, n: int, m: int) -> np.ndarray:
     """E_{n,m}: shift the defect projection n slots left-of and m right-of."""
     if not (0 <= n <= rep.depth - 2 and 0 <= m <= rep.depth - 2):
         raise IndexOutOfDepth(f"indices ({n}, {m}) exceed depth {rep.depth} - 2")
-    vb = block_shift(rep)
-    p = defect_projection(rep)
-    return np.linalg.matrix_power(vb, n) @ p @ np.linalg.matrix_power(vb.conj().T, m)
+    # V^n moves slot i to slot i + n, so V^n P V*^m is P moved n slots down and m right
+    p, k = defect_projection(rep), rep.fiber_dim
+    e = np.zeros_like(p)
+    e[n * k :, m * k :] = p[: len(p) - n * k, : len(p) - m * k]
+    return e
 
 
 @dataclass(frozen=True)

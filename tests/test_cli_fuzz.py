@@ -1,0 +1,146 @@
+"""Mangled matrix and model files on the lab subcommands: every run ends with
+exit code 0, 2 or 3 and prints exactly one JSON document."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from scalex.cli import main
+from scalex.matio import save_matrix
+from scalex.operators import TruncatedShiftModel, realize
+
+GOOD_MODEL = json.dumps({"d": 2, "N": 4, "A": [[0.5, 0.0], [0.0, [0.75, 0.0]]]})
+
+
+@pytest.fixture(scope="module")
+def good_matrix(tmp_path_factory):
+    """The realized 8 x 8 matrix of GOOD_MODEL, as a matrix file's text."""
+    path = tmp_path_factory.mktemp("good") / "x.mat"
+    save_matrix(str(path), realize(TruncatedShiftModel(2, 4, np.diag([0.5, 0.75]).astype(complex))))
+    return path.read_text()
+
+
+def _lines(text):
+    return text.split("\n")
+
+
+MATRIX_MANGLES = {
+    "truncated-rows": lambda t: "\n".join(_lines(t)[:5]) + "\n",
+    "truncated-row": lambda t: t[: len(t) // 2],
+    "header-more-rows": lambda t: t.replace("8 8", "9 8", 1),
+    "header-fewer-rows": lambda t: t.replace("8 8", "7 8", 1),
+    "header-more-cols": lambda t: t.replace("8 8", "8 9", 1),
+    "header-three-numbers": lambda t: t.replace("8 8", "8 8 8", 1),
+    "header-not-a-number": lambda t: t.replace("8 8", "8 x", 1),
+    "header-negative": lambda t: t.replace("8 8", "-8 8", 1),
+    "header-huge": lambda t: t.replace("8 8", "100000 100000", 1),
+    "header-only": lambda t: _lines(t)[0] + "\n",
+    "missing-comma": lambda t: t.replace(",", " ", 1),
+    "comma-moved": lambda t: t.replace("0.0,0.0 0.0,0.0", "0.0 0.0,0.0,0.0", 1),
+    "extra-field": lambda t: t.replace("\n", " 1.0,0.0\n", 2),
+    "extra-comma": lambda t: t.replace(",", ",,", 1),
+    "nan": lambda t: t.replace("0.5,0.0", "nan,0.0", 1),
+    "inf": lambda t: t.replace("0.75,0.0", "0.75,-inf", 1),
+    "overflow": lambda t: t.replace("0.5,0.0", "1e999,0.0", 1),
+    "word": lambda t: t.replace("1.0,0.0", "one,0.0", 1),
+    "empty": lambda t: "",
+    "blank-lines": lambda t: "\n\n\n",
+    "binary-junk": lambda t: b"\x00\xff\xfe\x80junk\xc3\x28".decode("latin-1"),
+    "junk-after-header": lambda t: _lines(t)[0] + "\n\x00\x01\x02\n",
+}
+
+MODEL_MANGLES = {
+    "truncated": lambda t: t[: len(t) // 2],
+    "not-an-object": lambda t: "[1, 2, 3]",
+    "string": lambda t: '"model"',
+    "missing-key": lambda t: t.replace('"N": 4, ', ""),
+    "extra-key": lambda t: t.replace("{", '{"note": "extra", ', 1),
+    "header-lies-d": lambda t: t.replace('"d": 2', '"d": 3'),
+    "header-lies-N": lambda t: t.replace('"N": 4', '"N": 1'),
+    "d-not-a-number": lambda t: t.replace('"d": 2', '"d": "two"'),
+    "d-null": lambda t: t.replace('"d": 2', '"d": null'),
+    "A-number": lambda t: t.replace('"A": [[0.5, 0.0], [0.0, [0.75, 0.0]]]', '"A": 5'),
+    "A-ragged": lambda t: t.replace("[0.5, 0.0]", "[0.5]"),
+    "A-null-entry": lambda t: t.replace("[0.5, 0.0]", "[null, 0.0]"),
+    "A-string-entry": lambda t: t.replace("[0.5, 0.0]", '["x", 0.0]'),
+    "A-triple-entry": lambda t: t.replace("[0.75, 0.0]", "[0.75, 0.0, 1.0]"),
+    "A-missing-file": lambda t: t.replace('[[0.5, 0.0], [0.0, [0.75, 0.0]]]', '"nowhere.mat"'),
+    "A-nan": lambda t: t.replace("0.5", "NaN"),
+    "A-inf": lambda t: t.replace("0.5", "-Infinity"),
+    "A-not-positive": lambda t: t.replace("0.5", "-0.5"),
+    "empty": lambda t: "",
+    "binary-junk": lambda t: b"\x00\xff\xfe\x80junk\xc3\x28".decode("latin-1"),
+}
+
+COMMANDS = {
+    "verify": [],
+    "witness": ["--gap", "0.6"],
+    "specestimate": [],
+    "wold": [],
+}
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3)
+    doc = json.loads(out)  # exactly one document: trailing data is a JSONDecodeError
+    assert isinstance(doc, dict)
+    if code:
+        assert set(doc) == {"error", "kind"}
+    return code, doc
+
+
+def write(path, text):
+    with open(path, "w", encoding="latin-1", newline="") as fh:
+        fh.write(text)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("mangle", MATRIX_MANGLES)
+def test_mangled_matrix_file(capsys, tmp_path, good_matrix, command, mangle):
+    path = tmp_path / "x.mat"
+    write(path, MATRIX_MANGLES[mangle](good_matrix))
+    run_cli(capsys, [command, "--in", str(path), *COMMANDS[command]])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("mangle", MODEL_MANGLES)
+def test_mangled_model_file(capsys, tmp_path, command, mangle):
+    path = tmp_path / "model.json"
+    write(path, MODEL_MANGLES[mangle](GOOD_MODEL))
+    run_cli(capsys, [command, "--in", str(path), *COMMANDS[command]])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unmangled_files_succeed(capsys, tmp_path, good_matrix, command):
+    # the mangles above start from files every lab subcommand accepts
+    for name, text in (("x.mat", good_matrix), ("model.json", GOOD_MODEL)):
+        write(tmp_path / name, text)
+        code, _ = run_cli(capsys, [command, "--in", str(tmp_path / name), *COMMANDS[command]])
+        assert code == 0
+
+
+PIECES = [",", " ", "\n", "\t", "-", "e", "9", "nan", "[", "]", "{", '"', ":", "\x00", "\x85"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["delete", "insert"]), st.sampled_from(PIECES)),
+        min_size=1,
+        max_size=4,
+    ),
+    which=st.sampled_from(["matrix", "model"]),
+    command=st.sampled_from(sorted(COMMANDS)),
+)
+def test_random_edits(capsys, tmp_path, good_matrix, edits, which, command):
+    text, name = (good_matrix, "x.mat") if which == "matrix" else (GOOD_MODEL, "model.json")
+    for pos, op, piece in edits:
+        i = pos % (len(text) + 1)
+        text = text[:i] + piece + text[i:] if op == "insert" else text[:i] + text[i + 1 :]
+    write(tmp_path / name, text)
+    run_cli(capsys, [command, "--in", str(tmp_path / name), *COMMANDS[command]])

@@ -1,0 +1,152 @@
+"""The witness and the properness verdict from one SVD of X, against the
+formulations they replace: |X| and g(|X|) through an eigendecomposition for
+the witness, and n x n projections compared by spectral norms for the verdict."""
+
+import math
+
+import numpy as np
+import pytest
+
+from scalex.errors import NoGap
+from scalex.operators import (
+    PiecewiseFunction,
+    TruncatedShiftModel,
+    classify_properness,
+    conjugate_random,
+    estimate_spectrum,
+    functional_calculus,
+    infinite_projection_witness,
+    matrix_abs,
+    opnorm,
+    realize,
+    synthesize,
+)
+from scalex.spectra import Properness, ScalingSpectrum
+
+SPECTRUM = ScalingSpectrum.from_intervals([(0, 0), (0.3, 0.6), (1, 1)])
+
+
+def interior(m, fiber_dim):
+    if fiber_dim is None:
+        return m
+    k = m.shape[0] - fiber_dim
+    return m[:k, :k]
+
+
+def reference_witness(x, c, tol=1e-9, cluster_tol=1e-8, fiber_dim=None):
+    if estimate_spectrum(x, cluster_tol).contains(c):
+        raise NoGap(f"{c} lies in the estimated spectrum")
+    # eigh of |X| can report eigenvalues a hair below 0; the flat piece absorbs them
+    g = PiecewiseFunction([(-math.inf, c, 0.0), (c, math.inf, lambda t: 1.0 / t)])
+    u = x @ functional_calculus(matrix_abs(x), g)
+    uu = interior(u.conj().T @ u, fiber_dim)
+    uut = interior(u @ u.conj().T, fiber_dim)
+    dominated = bool(np.min(np.linalg.eigvalsh(uu - uut)) >= -tol)
+    return u, (c, opnorm(uu @ uu - uu), dominated, opnorm(uu - uut))
+
+
+def reference_verdict(x, tol=1e-8, gap_tol=0.1, fiber_dim=None):
+    u, s, vh = np.linalg.svd(x)
+    dist0, dist1 = s, np.abs(s - 1.0)
+    gap_at_0 = not np.any((dist0 > tol) & (dist0 <= gap_tol))
+    gap_at_1 = not np.any((dist1 > tol) & (dist1 <= gap_tol))
+    p1 = vh.conj().T[:, dist1 <= tol]
+    left = u[:, s > tol]
+    distance = opnorm(interior(p1 @ p1.conj().T - left @ left.conj().T, fiber_dim))
+    nonproper = gap_at_0 and gap_at_1 and distance <= tol
+    return (Properness.NON_PROPER if nonproper else Properness.PROPER, gap_at_0, gap_at_1, distance)
+
+
+def operand(flag, seed, with_fiber_dim):
+    """A synthesized model behind a random unitary, and the fiber dimension to pass.
+
+    With the fiber dimension the unitary acts alike on every fiber slot (it
+    conjugates A), so the last slot stays the boundary; without it the whole
+    space is conjugated."""
+    m = synthesize(SPECTRUM, flag, depth=5, samples_per_interval=4, seed=seed)
+    if with_fiber_dim:
+        a = conjugate_random(m.A, seed)
+        m = TruncatedShiftModel(m.fiber_dim, m.depth, (a + a.conj().T) / 2)
+        return realize(m), m.fiber_dim
+    return conjugate_random(realize(m), seed), None
+
+
+CASES = [
+    pytest.param(flag, seed, with_fd, id=f"{flag.value}-{seed}-{'fiber' if with_fd else 'flat'}")
+    for flag in Properness
+    for seed in (1, 2)
+    for with_fd in (True, False)
+]
+
+
+@pytest.mark.parametrize("flag, seed, with_fiber_dim", CASES)
+@pytest.mark.parametrize("c", [0.2, 0.8])
+def test_witness_matches_reference_at_a_gap_point(flag, seed, with_fiber_dim, c):
+    x, fiber_dim = operand(flag, seed, with_fiber_dim)
+    u, rep = infinite_projection_witness(x, c, fiber_dim=fiber_dim)
+    want_u, want = reference_witness(x, c, fiber_dim=fiber_dim)
+    assert opnorm(u - want_u) <= 1e-10
+    assert rep.gap_point == want[0] and rep.dominated is want[2]
+    assert abs(rep.projection_defect - want[1]) <= 1e-10
+    assert abs(rep.norm_difference - want[3]) <= 1e-10
+    if fiber_dim is not None:
+        assert rep.dominated and rep.norm_difference >= 0.5
+
+
+@pytest.mark.parametrize("flag, seed, with_fiber_dim", CASES)
+def test_witness_refuses_where_the_reference_does(flag, seed, with_fiber_dim):
+    x, fiber_dim = operand(flag, seed, with_fiber_dim)
+    assert estimate_spectrum(x, 0.35).contains(0.45)
+    with pytest.raises(NoGap):
+        reference_witness(x, 0.45, cluster_tol=0.35, fiber_dim=fiber_dim)
+    with pytest.raises(NoGap):
+        infinite_projection_witness(x, 0.45, cluster_tol=0.35, fiber_dim=fiber_dim)
+
+
+@pytest.mark.parametrize("flag, seed, with_fiber_dim", CASES)
+def test_verdict_matches_reference(flag, seed, with_fiber_dim):
+    x, fiber_dim = operand(flag, seed, with_fiber_dim)
+    got = classify_properness(x, fiber_dim=fiber_dim)
+    want = reference_verdict(x, fiber_dim=fiber_dim)
+    assert (got.verdict, got.gap_at_0, got.gap_at_1) == want[:3]
+    assert abs(got.projection_distance - want[3]) <= 1e-10
+    if fiber_dim is not None:
+        assert got.verdict is flag
+
+
+def factorizations(monkeypatch, call, *args, **kwargs):
+    """(name, shape) of every svd, eigh, eigvalsh and norm(., 2) that call makes."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            if name != "norm" or (args[0] if args else kwargs.get("ord")) == 2:
+                calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    call(*args, **kwargs)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("with_fiber_dim", [True, False], ids=["fiber", "flat"])
+def test_witness_takes_one_svd_and_no_eigh_or_spectral_norm(monkeypatch, with_fiber_dim):
+    x, fiber_dim = operand(Properness.PROPER, 3, with_fiber_dim)
+    n = x.shape[0]
+    calls = factorizations(monkeypatch, infinite_projection_witness, x, 0.8, fiber_dim=fiber_dim)
+    assert [c for c in calls if c[0] == "svd"] == [("svd", (n, n))]
+    assert not [c for c in calls if c[0] in ("eigh", "norm")]
+
+
+@pytest.mark.parametrize("with_fiber_dim", [True, False], ids=["fiber", "flat"])
+def test_verdict_takes_one_square_svd_and_no_spectral_norm(monkeypatch, with_fiber_dim):
+    # without a fiber dimension the scaling gate reads the right support from this SVD
+    x, fiber_dim = operand(Properness.NON_PROPER, 3, with_fiber_dim)
+    n = x.shape[0]
+    calls = factorizations(monkeypatch, classify_properness, x, fiber_dim=fiber_dim)
+    assert [c for c in calls if c == ("svd", (n, n))] == [("svd", (n, n))]
+    assert not [c for c in calls if c[0] in ("eigh", "norm")]

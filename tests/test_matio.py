@@ -54,6 +54,26 @@ def test_matrix_field_not_one_pair_rejected(tmp_path, row):
         load_matrix(path)
 
 
+def test_matrix_header_too_large_rejected(tmp_path):
+    # 100000 x 100000 complex is 149 GiB: refused by the allocator or, if
+    # overcommitted, by the missing rows
+    path = tmp_path / "bad.mat"
+    path.write_text("100000 100000\n0.0,0.0\n")
+    with pytest.raises(DimensionMismatch):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("sep",["\t", "\x0b", "\x0c", "\x1c", " "], ids=repr)
+def test_matrix_fields_split_on_any_whitespace(tmp_path, sep):
+    # fields are separated by any whitespace that str.split() knows
+    path = tmp_path / "m.mat"
+    path.write_text(f"1 2\n1.0,0.0{sep}2.0,-0.5\n")
+    assert np.array_equal(load_matrix(path), [[1.0, 2.0 - 0.5j]])
+    path.write_text(f"1 2\n1.0{sep}2.0,-0.5,0.0\n")
+    with pytest.raises(ValueError):
+        load_matrix(path)
+
+
 def test_matrix_empty_rows_accepted(tmp_path):
     path = tmp_path / "m.mat"
     path.write_text("2 0\n\n\n")

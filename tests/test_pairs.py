@@ -120,6 +120,15 @@ class TestMatrixUnits:
             expected = units[(n, l)] if m == k else np.zeros_like(product)
             assert opnorm(product - expected) <= 1e-10
 
+    @pytest.mark.parametrize("samples, v", [((0.5, 1.0), 1), ((1.0,), 0), ((0.25, 0.5, 1.0), 0)])
+    def test_equals_shift_powers(self, samples, v):
+        # the slot arithmetic reproduces V^n P V*^m with the dense block shift
+        r = SampledPairRep(samples, v, depth=5)
+        vb, p = block_shift(r), defect_projection(r)
+        for n, m in itertools.product(range(r.depth - 1), repeat=2):
+            want = np.linalg.matrix_power(vb, n) @ p @ np.linalg.matrix_power(vb.conj().T, m)
+            assert np.array_equal(matrix_units(r, n, m), want)
+
     def test_index_out_of_depth(self, rep):
         with pytest.raises(IndexOutOfDepth):
             matrix_units(rep, rep.depth - 1, 0)
