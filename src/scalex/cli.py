@@ -35,15 +35,14 @@ EXIT_INADMISSIBLE = 3
 
 def _bind_lab() -> None:
     """Bind the numpy-backed lab as module globals, once, so wrappers put on them stay."""
-    global np, matio, classify_properness, estimate_spectrum, infinite_projection_witness
-    global realize, scaling_defect, synthesize, wold_decompose
+    global np, matio, estimate_spectrum, infinite_projection_witness
+    global realize, synthesize, wold_decompose, _verify
     if "wold_decompose" in globals():
         return
     import numpy as np
 
     from . import matio
-    from .operators import classify_properness, estimate_spectrum, infinite_projection_witness
-    from .operators import realize, scaling_defect, synthesize
+    from .operators import _verify, estimate_spectrum, infinite_projection_witness, realize, synthesize
     from .wold import wold_decompose
 
 
@@ -212,8 +211,7 @@ def cmd_wold(args: argparse.Namespace) -> dict:
 def cmd_verify(args: argparse.Namespace) -> dict:
     cfg = _config_from(args)
     x, fiber_dim = _load_operand(getattr(args, "in"))
-    defect = scaling_defect(x, fiber_dim)
-    verdict = classify_properness(x, cfg.cluster_tol, cfg.gap_tol, fiber_dim)
+    verdict, defect = _verify(x, cfg.cluster_tol, cfg.gap_tol, fiber_dim)
     return {
         **asdict(verdict),
         "verdict": verdict.verdict.value,
@@ -309,21 +307,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code, indent = EXIT_OK, 2
     try:
         report = args.func(args)
-    except AdmissibilityError as exc:
-        json.dump({"error": str(exc), "kind": type(exc).__name__}, sys.stdout, sort_keys=True)
-        print()
-        return EXIT_INADMISSIBLE
     except (ScalexError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        json.dump({"error": str(exc), "kind": type(exc).__name__}, sys.stdout, sort_keys=True)
-        print()
-        return EXIT_PARSE
-    report["command"] = args.command
-    report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    print()
-    return EXIT_OK
+        code = EXIT_INADMISSIBLE if isinstance(exc, AdmissibilityError) else EXIT_PARSE
+        indent, report = None, {"error": str(exc), "kind": type(exc).__name__}
+    else:
+        report["command"] = args.command
+        report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    try:
+        json.dump(report, sys.stdout, indent=indent, sort_keys=True)
+        print(flush=True)
+    except BrokenPipeError:
+        # the reader is gone; aim stdout at devnull so the exit-time flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def entrypoint() -> None:

@@ -62,6 +62,12 @@ def require_square(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _operand(x) -> np.ndarray:
+    """x checked square, as float64 when its imaginary part is exactly zero, else complex128."""
+    x = require_square(np.asarray(x, dtype=complex))
+    return x if x.imag.any() else np.ascontiguousarray(x.real)
+
+
 def _opnorm_at_most(m: np.ndarray, tol: float) -> bool:
     """opnorm(m) <= tol, skipping the SVD when the Frobenius bound decides it."""
     return bool(np.linalg.norm(m) <= tol or opnorm(m) <= tol)
@@ -132,7 +138,7 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
     range lies in the last fiber slot within 1e-10; without one the slot
     structure is unknown and the flag is None.
     """
-    r = _defect(require_square(np.asarray(x, dtype=complex)))
+    r = _defect(_operand(x))
     return ScalingDefect(opnorm(r), _boundary_localized(r, fiber_dim))
 
 
@@ -176,7 +182,7 @@ def estimate_spectrum(x: np.ndarray, cluster_tol: float) -> SpectralSet:
     [min, max], so exact multiple values come back as points.  An empty or
     non-square x raises :class:`DimensionMismatch`.
     """
-    return _clusters(np.linalg.svd(require_square(x), compute_uv=False), cluster_tol)
+    return _clusters(np.linalg.svd(_operand(x), compute_uv=False), cluster_tol)
 
 
 def synthesize(
@@ -232,18 +238,18 @@ def _interior_projection(basis: np.ndarray, fiber_dim: int | None) -> np.ndarray
 
 
 def _require_scalinglike(x: np.ndarray, tol: float, fiber_dim: int | None, right: np.ndarray):
-    """Raise :class:`NotScalinglike` unless the residual is within tol or in the boundary slot.
+    """The residual R and its boundary flag; :class:`NotScalinglike` unless R is small or boundary.
 
     ``right`` is the right-support basis from the caller's SVD.  The spectral
     norm is taken only when the Frobenius bound and the boundary test both fail.
     """
     r = _defect(x)
     ok = _boundary_localized(r, fiber_dim)
-    if np.linalg.norm(r) <= tol or ok or (ok is None and defect_is_boundary(r, right, tol)):
-        return
-    norm = opnorm(r)
-    if norm > tol:
-        raise NotScalinglike(f"scaling identity fails by {norm:.3e} away from the boundary slot")
+    if not (np.linalg.norm(r) <= tol or ok or (ok is None and defect_is_boundary(r, right, tol))):
+        norm = opnorm(r)
+        if norm > tol:
+            raise NotScalinglike(f"scaling identity fails by {norm:.3e} away from the boundary slot")
+    return r, ok
 
 
 def _has_shift_summand(coker: np.ndarray, ker: np.ndarray) -> bool:
@@ -270,9 +276,19 @@ def classify_properness(
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
     One SVD of X serves every test.
     """
-    x = require_square(np.asarray(x, dtype=complex))
+    return _classify(_operand(x), tol, gap_tol, fiber_dim)[0]
+
+
+def _verify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
+    """(classify_properness, scaling_defect) of one X, forming the residual R once."""
+    verdict, r, localized = _classify(_operand(x), tol, gap_tol, fiber_dim)
+    return verdict, ScalingDefect(opnorm(r), localized)
+
+
+def _classify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
+    """The verdict on an operand from :func:`_operand`, with the gate's residual and flag."""
     u, s, vh = np.linalg.svd(x)
-    _require_scalinglike(x, tol, fiber_dim, vh[s > tol].conj().T)
+    r, localized = _require_scalinglike(x, tol, fiber_dim, vh[s > tol].conj().T)
     if not _has_shift_summand(u[:, s <= tol], vh[s <= tol].conj().T):
         raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
@@ -289,13 +305,8 @@ def classify_properness(
     diff = p1 - _interior_projection(u[:, s > tol], fiber_dim)
     distance = float(np.max(np.abs(np.linalg.eigvalsh(diff)), initial=0.0))
 
-    nonproper = gap_at_0 and gap_at_1 and distance <= tol
-    return PropernessVerdict(
-        Properness.NON_PROPER if nonproper else Properness.PROPER,
-        gap_at_0,
-        gap_at_1,
-        distance,
-    )
+    verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol else Properness.PROPER
+    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance), r, localized
 
 
 class PiecewiseFunction:
@@ -347,17 +358,17 @@ def infinite_projection_witness(
     g(t) = 1/t above c and 0 below; on the interior compression U*U is a
     projection strictly dominating UU*.
     """
-    x = np.asarray(x, dtype=complex)
     if not (0.0 < c < 1.0):
         raise NotAdmissible(f"gap point must lie in (0, 1), got {c}")
-    left, s, vh = np.linalg.svd(require_square(x))
+    x = _operand(x)
+    left, s, vh = np.linalg.svd(x)
     if _clusters(s, cluster_tol).contains(c):
         raise NoGap(f"{c} lies in the estimated spectrum")
     _require_scalinglike(x, tol, fiber_dim, vh[s > tol].conj().T)
 
     # X = L S V* and g(|X|) = V g(S) V*, so U keeps the singular pairs above c
     left, vh = left[:, s > c], vh[s > c]
-    u = left @ vh
+    u = (left @ vh).astype(complex, copy=False)
 
     uu = _interior_projection(vh.conj().T, fiber_dim)
     uut = _interior_projection(left, fiber_dim)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -277,3 +278,28 @@ def test_exact_engine_runs_without_numpy(argv, want):
     loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
     assert "scalex.spectra" in loaded
     assert not {m for m in loaded if m.partition(".")[0] == "numpy"}
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["classify", "--spec", POINTS_0H1], 0),
+        (["synth", "--spec", POINTS_0H1, "--properness", "nonproper", "--depth", "40", "--out"], 0),
+        (["specestimate", "--in", "no-such-file.mat"], 2),
+    ],
+    ids=["classify", "synth", "error"],
+)
+def test_closed_stdout_is_no_traceback(tmp_path, argv, want):
+    # as in `scalex synth ... | head -0`: the reader has gone before the report is written
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "scalex", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr, proc.stderr
+    assert proc.returncode == want

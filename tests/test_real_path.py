@@ -1,0 +1,197 @@
+"""Real operands are factored in real arithmetic; the answers are the complex path's.
+
+A synthesized model X is real.  D X D*, with D a diagonal unitary of random
+phases, is complex, keeps the fiber-slot structure (D is diagonal on every
+slot) and has the same singular values, verdict and defect, and witness
+D U D*.  So every report on X must match the report on D X D*, while the
+factorizations on X see only float64 arrays, and as many of them.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from scalex import matio
+from scalex.cli import main
+from scalex.operators import (
+    _verify,
+    classify_properness,
+    estimate_spectrum,
+    infinite_projection_witness,
+    realize,
+    scaling_defect,
+    synthesize,
+)
+from scalex.spectra import Properness, ScalingSpectrum, SpectralSet
+
+SPECTRUM = ScalingSpectrum.from_intervals([(0, 0), (0.2, 0.4), (0.6, 0.8), (1, 1)])
+TOL = 1e-10
+
+
+def model_pair(flag, seed):
+    """(X, D X D*, D, fiber dimension) for a synthesized model and random phases D."""
+    m = synthesize(SPECTRUM, flag, depth=5, samples_per_interval=6, seed=seed)
+    x = realize(m)
+    d = np.exp(2j * np.pi * np.random.default_rng(seed).random(len(x)))
+    return x, d[:, None] * x * d.conj()[None, :], d, m.fiber_dim
+
+
+CASES = [
+    pytest.param(flag, seed, fd, id=f"{flag.value}-{seed}-{'fiber' if fd else 'flat'}")
+    for flag in Properness
+    for seed in (1, 2)
+    for fd in (True, False)
+]
+
+
+def close(a, b):
+    assert abs(a - b) <= TOL, (a, b)
+
+
+def same_set(got, want):
+    assert len(got.intervals) == len(want.intervals)
+    for (a, b), (c, d) in zip(got.intervals, want.intervals):
+        close(a, c)
+        close(b, d)
+
+
+@pytest.mark.parametrize("flag, seed, with_fd", CASES)
+def test_reports_match_the_complex_path(flag, seed, with_fd):
+    x, xc, d, fiber_dim = model_pair(flag, seed)
+    fiber_dim = fiber_dim if with_fd else None
+    assert np.iscomplexobj(xc) and np.abs(xc.imag).max() > 0.1
+
+    got, want = classify_properness(x, fiber_dim=fiber_dim), classify_properness(xc, fiber_dim=fiber_dim)
+    assert (got.verdict, got.gap_at_0, got.gap_at_1) == (want.verdict, want.gap_at_0, want.gap_at_1)
+    close(got.projection_distance, want.projection_distance)
+    if with_fd:
+        assert got.verdict is flag
+
+    got, want = scaling_defect(x, fiber_dim), scaling_defect(xc, fiber_dim)
+    close(got.residual_norm, want.residual_norm)
+    assert got.boundary_localized is want.boundary_localized
+
+    same_set(estimate_spectrum(x, 0.1), estimate_spectrum(xc, 0.1))
+
+    u, rep = infinite_projection_witness(x, 0.5, fiber_dim=fiber_dim)
+    uc, repc = infinite_projection_witness(xc, 0.5, fiber_dim=fiber_dim)
+    assert u.dtype == np.complex128
+    assert np.abs(d[:, None] * u * d.conj()[None, :] - uc).max() <= TOL
+    assert (rep.gap_point, rep.dominated) == (repc.gap_point, repc.dominated)
+    close(rep.projection_defect, repc.projection_defect)
+    close(rep.norm_difference, repc.norm_difference)
+
+
+@pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
+def test_verify_shares_the_residual_with_scaling_defect(flag):
+    x, xc, _, fiber_dim = model_pair(flag, 3)
+    for op in (x, xc):
+        verdict, defect = _verify(op, 1e-8, 0.1, fiber_dim)
+        assert verdict == classify_properness(op, fiber_dim=fiber_dim)
+        assert defect == scaling_defect(op, fiber_dim)
+
+
+def factorizations(monkeypatch, call, *args, **kwargs):
+    """(name, shape, dtype) of every svd, eigh, eigvalsh and norm(., 2) that call makes."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            if name != "norm" or (args[0] if args else kwargs.get("ord")) == 2:
+                calls.append((name, np.shape(a), np.asarray(a).dtype))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    call(*args, **kwargs)
+    monkeypatch.undo()
+    return calls
+
+
+CALLS = [
+    pytest.param(classify_properness, (), id="classify_properness"),
+    pytest.param(scaling_defect, (), id="scaling_defect"),
+    pytest.param(infinite_projection_witness, (0.5,), id="witness"),
+    pytest.param(estimate_spectrum, (0.1,), id="estimate_spectrum"),
+]
+
+
+@pytest.mark.parametrize("fn, args", CALLS)
+@pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
+def test_real_operands_factor_in_float64_as_often(monkeypatch, fn, args, flag):
+    x, xc, _, fiber_dim = model_pair(flag, 4)
+    kwargs = {} if fn is estimate_spectrum else {"fiber_dim": fiber_dim}
+    real = factorizations(monkeypatch, fn, x, *args, **kwargs)
+    cplx = factorizations(monkeypatch, fn, xc, *args, **kwargs)
+    assert real and {c[2] for c in real} == {np.dtype(float)}
+    assert {c[2] for c in cplx} == {np.dtype(complex)}
+    assert [c[:2] for c in real] == [c[:2] for c in cplx]
+
+
+def test_real_operands_keep_the_factorization_counts(monkeypatch):
+    x, _, _, fiber_dim = model_pair(Properness.NON_PROPER, 5)
+    n = x.shape[0]
+    calls = factorizations(monkeypatch, infinite_projection_witness, x, 0.5, fiber_dim=fiber_dim)
+    assert [c[:2] for c in calls if c[0] == "svd"] == [("svd", (n, n))]
+    assert not [c for c in calls if c[0] in ("eigh", "norm")]
+    calls = factorizations(monkeypatch, classify_properness, x, fiber_dim=fiber_dim)
+    assert [c[:2] for c in calls if c[:2] == ("svd", (n, n))] == [("svd", (n, n))]
+    assert not [c for c in calls if c[0] in ("eigh", "norm")]
+
+
+def test_a_tiny_imaginary_part_keeps_the_complex_path(monkeypatch):
+    x, _, _, fiber_dim = model_pair(Properness.PROPER, 6)
+    xt = x.copy()
+    xt[fiber_dim, 0] += 1e-300j
+    calls = factorizations(monkeypatch, classify_properness, xt, fiber_dim=fiber_dim)
+    assert {c[2] for c in calls} == {np.dtype(complex)}
+    got, want = classify_properness(xt, fiber_dim=fiber_dim), classify_properness(x, fiber_dim=fiber_dim)
+    assert (got.verdict, got.gap_at_0, got.gap_at_1) == (want.verdict, want.gap_at_0, want.gap_at_1)
+    close(got.projection_distance, want.projection_distance)
+    u, _ = infinite_projection_witness(xt, 0.5, fiber_dim=fiber_dim)
+    assert np.abs(u - infinite_projection_witness(x, 0.5, fiber_dim=fiber_dim)[0]).max() <= TOL
+
+
+@pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
+def test_cli_reports_match_the_complex_path(capsys, tmp_path, flag):
+    spec = json.dumps(SPECTRUM.to_json())
+    out = str(tmp_path)
+
+    def run(*argv):
+        code = main(list(argv))
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 0, rep
+        return rep
+
+    synth = run("synth", "--spec", spec, "--properness", flag.value, "--depth", "5",
+                "--samples", "6", "--out", out, "--cluster-tol", "0.1")
+    verify = run("verify", "--in", synth["model_path"])
+    witness = run("witness", "--in", synth["model_path"], "--gap", "0.5", "--out", out)
+    estimate = run("specestimate", "--in", synth["matrix_path"], "--cluster-tol", "0.1")
+
+    model = matio.load_model(synth["model_path"])
+    x = realize(model)
+    d = np.exp(2j * np.pi * np.random.default_rng(7).random(len(x)))
+    xc = d[:, None] * x * d.conj()[None, :]
+    want = estimate_spectrum(xc, 0.1)
+    for rep in (synth["estimated_spectrum"], estimate):
+        same_set(SpectralSet.from_json(rep), want)
+
+    verdict = classify_properness(xc, 1e-8, 0.1, model.fiber_dim)
+    defect = scaling_defect(xc, model.fiber_dim)
+    assert verify["verdict"] == verdict.verdict.value == flag.value
+    assert (verify["gap_at_0"], verify["gap_at_1"]) == (verdict.gap_at_0, verdict.gap_at_1)
+    assert verify["boundary_localized"] is defect.boundary_localized is True
+    close(verify["projection_distance"], verdict.projection_distance)
+    close(verify["scaling_residual"], defect.residual_norm)
+
+    uc, rep = infinite_projection_witness(xc, 0.5, 1e-9, 1e-8, model.fiber_dim)
+    assert witness["dominated"] is rep.dominated
+    close(witness["projection_defect"], rep.projection_defect)
+    close(witness["norm_difference"], rep.norm_difference)
+    u = matio.load_matrix(witness["witness_path"])
+    assert np.array_equal(u, infinite_projection_witness(x, 0.5, 1e-9, 1e-8, model.fiber_dim)[0])
+    assert np.abs(d[:, None] * u * d.conj()[None, :] - uc).max() <= TOL
