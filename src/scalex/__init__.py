@@ -34,7 +34,7 @@ _LAB = {
         "conjugate_random", "estimate_spectrum", "functional_calculus",
         "infinite_projection_witness", "realize", "scaling_defect", "synthesize",
     ),
-    "wold": ("WoldReport", "polar", "reconstruct", "supports", "wold_decompose"),
+    "wold": ("WoldReport", "polar", "reconstruct", "wold_decompose"),
     "pairs": (
         "SampledFunction", "SampledPairRep", "defect_projection", "function_action",
         "matrix_units", "pair_relation_check", "shift_action",

@@ -12,7 +12,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .errors import AdmissibilityError, ScalexError
 from .ktheory import PuncturedSet, k_of_functions, k_of_generator
@@ -46,38 +46,12 @@ def _bind_lab() -> None:
     from .wold import wold_decompose
 
 
-@dataclass
-class RunConfig:
-    tolerance: float = 1e-9
-    cluster_tol: float = 1e-8
-    gap_tol: float = 0.1
-    seed: int = 0
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if min(self.tolerance, self.cluster_tol, self.gap_tol) <= 0:
-            raise ValueError("all tolerances must be > 0")
-
-
 def _load_json_arg(value: str) -> dict:
     """Accept inline JSON (starts with '{') or a path to a JSON file."""
     if value.lstrip().startswith("{"):
         return json.loads(value)
     with open(value) as fh:
         return json.load(fh)
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SCALEX_SEED", "0"))
-    return RunConfig(
-        tolerance=args.tol,
-        cluster_tol=args.cluster_tol,
-        gap_tol=args.gap_tol,
-        seed=seed,
-        output_path=getattr(args, "out", None),
-    )
 
 
 def _load_operand(path: str) -> tuple[np.ndarray, int | None]:
@@ -172,46 +146,44 @@ def cmd_kgroups(args: argparse.Namespace) -> dict:
 
 def cmd_synth(args: argparse.Namespace) -> dict:
     _bind_lab()
-    cfg = _config_from(args)
+    seed = args.seed if args.seed is not None else int(os.environ.get("SCALEX_SEED", "0"))
     spectrum = ScalingSpectrum.from_json(_load_json_arg(args.spec))
     flag = _properness_flag(args.properness)
-    model = synthesize(spectrum, flag, args.depth, args.samples, cfg.seed)
-    outdir = cfg.output_path or "."
+    model = synthesize(spectrum, flag, args.depth, args.samples, seed)
+    outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     model_path = os.path.join(outdir, "model.json")
     matrix_path = os.path.join(outdir, "model.mat")
     matio.save_model(model_path, model)
     x = realize(model)
     matio.save_matrix(matrix_path, x)
-    estimated = estimate_spectrum(x, cfg.cluster_tol)
+    estimated = estimate_spectrum(x, args.cluster_tol)
     return {
         "model_path": model_path,
         "matrix_path": matrix_path,
         "fiber_dim": model.fiber_dim,
         "depth": model.depth,
         "properness": flag.value,
-        "seed": cfg.seed,
+        "seed": seed,
         "eigenvalues": [float(v.real) for v in np.diag(model.A)],
         "estimated_spectrum": estimated.to_json(),
     }
 
 
 def cmd_wold(args: argparse.Namespace) -> dict:
-    cfg = _config_from(args)
     x, _ = _load_operand(getattr(args, "in"))
-    report = wold_decompose(x, cfg.tolerance).to_json()
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
+    report = wold_decompose(x, args.tol).to_json()
+    if args.out:
+        with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        report["report_path"] = cfg.output_path
+        report["report_path"] = args.out
     return report
 
 
 def cmd_verify(args: argparse.Namespace) -> dict:
-    cfg = _config_from(args)
     x, fiber_dim = _load_operand(getattr(args, "in"))
-    verdict, defect = _verify(x, cfg.cluster_tol, cfg.gap_tol, fiber_dim)
+    verdict, defect = _verify(x, args.cluster_tol, args.gap_tol, fiber_dim)
     return {
         **asdict(verdict),
         "verdict": verdict.verdict.value,
@@ -221,29 +193,25 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 
 
 def cmd_witness(args: argparse.Namespace) -> dict:
-    cfg = _config_from(args)
     x, fiber_dim = _load_operand(getattr(args, "in"))
-    u, report = infinite_projection_witness(
-        x, args.gap, cfg.tolerance, cfg.cluster_tol, fiber_dim
-    )
+    u, report = infinite_projection_witness(x, args.gap, args.tol, args.cluster_tol, fiber_dim)
     out = {
         **asdict(report),
         "infinite_projection_witnessed": bool(
             report.projection_defect <= 1e-8 and report.dominated and report.norm_difference >= 0.5
         ),
     }
-    if cfg.output_path:
-        os.makedirs(cfg.output_path, exist_ok=True)
-        upath = os.path.join(cfg.output_path, "witness.mat")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        upath = os.path.join(args.out, "witness.mat")
         matio.save_matrix(upath, u)
         out["witness_path"] = upath
     return out
 
 
 def cmd_specestimate(args: argparse.Namespace) -> dict:
-    cfg = _config_from(args)
     x, _ = _load_operand(getattr(args, "in"))
-    return estimate_spectrum(x, cfg.cluster_tol).to_json()
+    return estimate_spectrum(x, args.cluster_tol).to_json()
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -309,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     code, indent = EXIT_OK, 2
     try:
+        if not all(t > 0 for t in (args.tol, args.cluster_tol, args.gap_tol)):
+            raise ValueError("all tolerances must be > 0")
         report = args.func(args)
     except (ScalexError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         code = EXIT_INADMISSIBLE if isinstance(exc, AdmissibilityError) else EXIT_PARSE

@@ -4,8 +4,8 @@ A truncated model places a positive block A on the first step of a block
 shift and identity blocks afterwards, on N fiber slots of dimension d.  Exact
 finite-dimensional scaling elements do not exist: the identity (X*X)X = X
 necessarily fails at the last slot, so every check here either reports the
-boundary defect explicitly or works on the interior compression (boundary
-slot excluded).
+boundary defect explicitly or works on the compression to the right
+support of X, which for a truncated model is every slot but the last.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "PiecewiseFunction",
     "opnorm",
     "require_square",
-    "matrix_abs",
     "realize",
     "scaling_defect",
     "estimate_spectrum",
@@ -71,12 +70,6 @@ def _operand(x) -> np.ndarray:
 def _opnorm_at_most(m: np.ndarray, tol: float) -> bool:
     """opnorm(m) <= tol, skipping the SVD when the Frobenius bound decides it."""
     return bool(np.linalg.norm(m) <= tol or opnorm(m) <= tol)
-
-
-def matrix_abs(x: np.ndarray) -> np.ndarray:
-    """|X| = (X*X)^(1/2) via SVD."""
-    _, s, vh = np.linalg.svd(x)
-    return vh.conj().T @ (s[:, None] * vh)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,23 +133,6 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
     """
     r = _defect(_operand(x))
     return ScalingDefect(opnorm(r), _boundary_localized(r, fiber_dim))
-
-
-def _support_bases(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the right and left supports, from one SVD."""
-    u, s, vh = np.linalg.svd(x)
-    keep = s > tol
-    return vh.conj().T[:, keep], u[:, keep]
-
-
-def defect_is_boundary(residual: np.ndarray, right: np.ndarray, tol: float) -> bool:
-    """Basis-free boundary test: the residual's range avoids the right support.
-
-    ``right`` is an orthonormal basis of the right support.  For truncated
-    models the last slot is exactly the complement of the right support, and
-    this formulation survives unitary conjugation.
-    """
-    return _opnorm_at_most(right @ (right.conj().T @ residual), tol)
 
 
 def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
@@ -231,25 +207,35 @@ class PropernessVerdict:
     projection_distance: float
 
 
-def _interior_projection(basis: np.ndarray, fiber_dim: int | None) -> np.ndarray:
-    """B B* on the interior: the basis drops the last fiber slot's rows first."""
-    b = basis if fiber_dim is None else basis[: len(basis) - fiber_dim]
-    return b @ b.conj().T
-
-
-def _require_scalinglike(x: np.ndarray, tol: float, fiber_dim: int | None, right: np.ndarray):
+def _require_scalinglike(x: np.ndarray, tol: float, fiber_dim: int | None, support: np.ndarray):
     """The residual R and its boundary flag; :class:`NotScalinglike` unless R is small or boundary.
 
-    ``right`` is the right-support basis from the caller's SVD.  The spectral
-    norm is taken only when the Frobenius bound and the boundary test both fail.
+    ``support`` holds the right-support rows vh[s > tol] of the caller's SVD.
+    R is boundary when its range avoids the right support, ||support R|| <= tol;
+    this test is basis-free, so it survives unitary conjugation.  With a fiber
+    dimension the slot flag, which says the same for a truncated model, is
+    tried first.  The spectral norm is taken only when every test fails.
     """
     r = _defect(x)
     ok = _boundary_localized(r, fiber_dim)
-    if not (np.linalg.norm(r) <= tol or ok or (ok is None and defect_is_boundary(r, right, tol))):
+    if not (np.linalg.norm(r) <= tol or ok or _opnorm_at_most(support @ r, tol)):
         norm = opnorm(r)
         if norm > tol:
-            raise NotScalinglike(f"scaling identity fails by {norm:.3e} away from the boundary slot")
+            raise NotScalinglike(f"scaling identity fails by {norm:.3e} away from the boundary")
     return r, ok
+
+
+def _support_difference(support: np.ndarray, mask: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Eigenvalues of L L* - P compressed onto the right support.
+
+    ``support`` holds the right-support rows of an SVD and P projects onto
+    those of them that ``mask`` selects, so in that basis P is a 0/1 diagonal
+    and only the orthonormal columns L need the product ``support L``.
+    """
+    m = support @ left
+    m = m @ m.conj().T  # rebound, so the r x k factor is freed before eigvalsh
+    m[np.diag_indices_from(m)] -= mask
+    return np.linalg.eigvalsh(m)
 
 
 def _has_shift_summand(coker: np.ndarray, ker: np.ndarray) -> bool:
@@ -271,7 +257,7 @@ def classify_properness(
     """Decide proper vs non-proper for a (truncated) scaling-like matrix.
 
     Non-proper needs spectral gaps just above 0 and around 1 (the compactness
-    side) and agreement, away from the boundary slot, between the spectral
+    side) and agreement, on the right support of X, between the spectral
     projection of |X| at 1 and the left support of X.  An X without a shift
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
     One SVD of X serves every test.
@@ -288,8 +274,9 @@ def _verify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
 def _classify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
     """The verdict on an operand from :func:`_operand`, with the gate's residual and flag."""
     u, s, vh = np.linalg.svd(x)
-    r, localized = _require_scalinglike(x, tol, fiber_dim, vh[s > tol].conj().T)
-    if not _has_shift_summand(u[:, s <= tol], vh[s <= tol].conj().T):
+    rank = np.count_nonzero(s > tol)  # s is sorted, so the support is a prefix
+    r, localized = _require_scalinglike(x, tol, fiber_dim, vh[:rank])
+    if not _has_shift_summand(u[:, rank:], vh[rank:].conj().T):
         raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
     # distances of the singular values from the two distinguished points
@@ -301,9 +288,8 @@ def _classify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
     gap_at_1 = not np.any((dist1 > tol) & (dist1 <= gap_tol))
 
     # eigenvectors of |X| are right singular vectors; of |X*|, left ones
-    p1 = _interior_projection(vh[dist1 <= tol].conj().T, fiber_dim)
-    diff = p1 - _interior_projection(u[:, s > tol], fiber_dim)
-    distance = float(np.max(np.abs(np.linalg.eigvalsh(diff)), initial=0.0))
+    w = _support_difference(vh[:rank], dist1[:rank] <= tol, u[:, :rank])
+    distance = float(np.max(np.abs(w), initial=0.0))
 
     verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol else Properness.PROPER
     return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance), r, localized
@@ -355,8 +341,8 @@ def infinite_projection_witness(
     """Build the partial isometry witnessing an infinite projection.
 
     With c a gap point of the estimated spectrum, U = X g(|X|) for
-    g(t) = 1/t above c and 0 below; on the interior compression U*U is a
-    projection strictly dominating UU*.
+    g(t) = 1/t above c and 0 below; compressed onto the right support of X,
+    U*U is a projection strictly dominating UU*.
     """
     if not (0.0 < c < 1.0):
         raise NotAdmissible(f"gap point must lie in (0, 1), got {c}")
@@ -364,18 +350,17 @@ def infinite_projection_witness(
     left, s, vh = np.linalg.svd(x)
     if _clusters(s, cluster_tol).contains(c):
         raise NoGap(f"{c} lies in the estimated spectrum")
-    _require_scalinglike(x, tol, fiber_dim, vh[s > tol].conj().T)
+    # s is sorted, so the support and the pairs above c are prefixes
+    rank, k = np.count_nonzero(s > tol), np.count_nonzero(s > c)
+    _require_scalinglike(x, tol, fiber_dim, vh[:rank])
 
-    # X = L S V* and g(|X|) = V g(S) V*, so U keeps the singular pairs above c
-    left, vh = left[:, s > c], vh[s > c]
-    u = (left @ vh).astype(complex, copy=False)
-
-    uu = _interior_projection(vh.conj().T, fiber_dim)
-    uut = _interior_projection(left, fiber_dim)
-    defect = float(np.max(np.abs(np.linalg.eigvalsh(uu @ uu - uu))))
-    w = np.linalg.eigvalsh(uu - uut)
-    dominated = bool(np.min(w) >= -tol)
-    return u, WitnessReport(c, defect, dominated, float(np.max(np.abs(w))))
+    # X = L S V* and g(|X|) = V g(S) V*, so U keeps the singular pairs above c;
+    # on the right support U*U is the 0/1 diagonal of those pairs, so its
+    # projection defect is exactly 0
+    u = (left[:, :k] @ vh[:k]).astype(complex, copy=False)
+    w = _support_difference(vh[:rank], np.arange(rank) < k, left[:, :k])
+    dominated = bool(np.max(w, initial=0.0) <= tol)
+    return u, WitnessReport(c, 0.0, dominated, float(np.max(np.abs(w), initial=0.0)))
 
 
 def random_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:

@@ -20,22 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, NotScalinglike
-from .operators import defect_is_boundary, opnorm, require_square, _defect, _support_bases
+from .errors import NoConvergence
+from .operators import opnorm, require_square, _require_scalinglike
 
-__all__ = ["SupportPair", "WoldReport", "supports", "polar", "wold_decompose", "reconstruct"]
-
-
-@dataclass(frozen=True, eq=False)
-class SupportPair:
-    right: np.ndarray
-    left: np.ndarray
-
-
-def supports(x: np.ndarray, tol: float = 1e-9) -> SupportPair:
-    """Right and left support projections (row/column space) via SVD."""
-    right, left = _support_bases(np.asarray(x, dtype=complex), tol)
-    return SupportPair(right=right @ right.conj().T, left=left @ left.conj().T)
+__all__ = ["WoldReport", "polar", "wold_decompose", "reconstruct"]
 
 
 def polar(x: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -126,16 +114,14 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
     if max_steps is None:
         max_steps = n
 
-    # one SVD serves the boundary test and both supports
-    right, left = _support_bases(x, tol)
-    residual = _defect(x)
+    # one SVD serves the scaling gate and both supports; the masks copy out
+    # the support rows and columns, so the full factors are freed
+    left, s, right = np.linalg.svd(x)
+    left, right = left[:, s > tol], right[s > tol]
+    residual, _ = _require_scalinglike(x, tol, None, right)
     defect_norm = opnorm(residual)
-    if defect_norm > tol and not defect_is_boundary(residual, right, tol):
-        raise NotScalinglike(
-            f"scaling identity fails by {defect_norm:.3e} outside the boundary summand"
-        )
 
-    p0, p0p = right @ right.conj().T, left @ left.conj().T
+    p0, p0p = right.conj().T @ right, left @ left.conj().T
     eye = np.eye(n, dtype=complex)
 
     # the literal difference right - left is a projection only when the

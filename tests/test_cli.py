@@ -169,6 +169,28 @@ class TestPipeline:
         assert code == 0 and rep["infinite_projection_witnessed"] is True
 
 
+class TestMatrixFile:
+    """A bare matrix gets its model file's answers; only ``boundary_localized`` needs the model."""
+
+    SPEC = '{"intervals": [[0,0],[0.25,0.4],[0.6,0.75],[1,1]]}'
+
+    @pytest.mark.parametrize("flag", ["nonproper", "proper"])
+    def test_verify_and_witness_agree_with_the_model_file(self, capsys, tmp_path, flag):
+        out = str(tmp_path)
+        run(capsys, "synth", "--spec", self.SPEC, "--properness", flag, "--depth", "5",
+            "--samples", "10", "--out", out)
+        reports = {}
+        for ext in ("json", "mat"):
+            _, verify = run(capsys, "verify", "--in", f"{out}/model.{ext}")
+            _, witness = run(capsys, "witness", "--in", f"{out}/model.{ext}", "--gap", "0.5")
+            reports[ext] = verify, witness
+        (verify, witness), (model_verify, model_witness) = reports["mat"], reports["json"]
+        assert verify["verdict"] == model_verify["verdict"] == flag
+        assert abs(verify["projection_distance"] - model_verify["projection_distance"]) <= 1e-10
+        assert verify["boundary_localized"] is None and model_verify["boundary_localized"] is True
+        assert witness["infinite_projection_witnessed"] is model_witness["infinite_projection_witnessed"] is True
+
+
 class TestBadOperands:
     """Malformed matrix files end in exit 2 with a named error, never a traceback."""
 
@@ -190,6 +212,16 @@ class TestBadOperands:
         assert out[end:].strip() == ""
         assert code == 2 and doc["kind"] == kind
 
+
+    @pytest.mark.parametrize("value", ["0", "nan"])
+    @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol", "--gap-tol"])
+    def test_non_positive_tolerance_exits_2(self, capsys, tmp_path, flag, value):
+        run(capsys, "synth", "--spec", POINTS_0H1, "--properness", "nonproper", "--out", str(tmp_path))
+        code = main(["verify", "--in", str(tmp_path / "model.json"), flag, value])
+        out = capsys.readouterr().out
+        doc, end = json.JSONDecoder().raw_decode(out)
+        assert out[end:].strip() == ""
+        assert code == 2 and doc["kind"] == "ValueError"
 
     @pytest.mark.parametrize("command", ["verify", "wold"])
     @pytest.mark.parametrize("text", ["0 0\n", "2 3\n1,0 0,0 0,0\n0,0 1,0 0,0\n"], ids=["empty", "2x3"])

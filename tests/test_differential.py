@@ -3,6 +3,8 @@
 A spectrum is drawn, synthesized with a planted properness flag and put
 behind a random unitary; the lab's verdict, spectrum estimate and witnesses
 must then agree with what the exact engine decides for the planted spectrum.
+The unitary either acts alike on every fiber slot, with the fiber dimension
+passed along, or on the whole space, with no slot structure left to pass.
 """
 
 import numpy as np
@@ -91,6 +93,24 @@ def test_lab_agrees_with_the_decision_engine(case):
     for lo, hi in estimate_spectrum(conjugate_random(x, seed + 1), 1e-8).intervals:
         assert distance_to(spectrum, lo) <= 1e-8 and distance_to(spectrum, hi) <= 1e-8
 
+    assert_witnesses_follow_the_engine(x, spectrum, values, m.fiber_dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted())
+def test_whole_space_conjugation_needs_no_fiber_dimension(case):
+    spectrum, flag, samples, seed = case
+    m = synthesize(spectrum, flag, depth=3, samples_per_interval=samples, seed=seed)
+    assume(m.dimension <= 48)
+    x = conjugate_random(realize(m), seed)
+
+    assert classify_properness(x).verdict is flag
+    assert_witnesses_follow_the_engine(x, spectrum, np.diag(m.A).real.tolist(), None)
+
+
+def assert_witnesses_follow_the_engine(x, spectrum, values, fiber_dim):
+    """A witness at every gap of the estimate in (0, 1), and such gaps iff the
+    planted spectrum has an infinite projection."""
     # clustered at the planted sample spacing, the estimate leaves a gap in (0, 1)
     # exactly where the planted set does, as long as no planted gap is narrower
     cluster_tol = 1.01 * sample_spacing(spectrum, values) + 1e-9
@@ -98,14 +118,14 @@ def test_lab_agrees_with_the_decision_engine(case):
     witnessed = []
     for hi, lo in gaps(estimate_spectrum(x, cluster_tol)):
         c = (hi + lo) / 2
-        _, rep = infinite_projection_witness(x, c, cluster_tol=cluster_tol, fiber_dim=m.fiber_dim)
+        _, rep = infinite_projection_witness(x, c, cluster_tol=cluster_tol, fiber_dim=fiber_dim)
         witnessed.append(rep.projection_defect <= 1e-8 and rep.dominated and rep.norm_difference >= 0.5)
     assert all(witnessed)
     assert bool(witnessed) is has_infinite_projection(spectrum)
     if not witnessed:
         for c in (0.25, 0.5, 0.75):
             try:
-                infinite_projection_witness(x, c, cluster_tol=cluster_tol, fiber_dim=m.fiber_dim)
+                infinite_projection_witness(x, c, cluster_tol=cluster_tol, fiber_dim=fiber_dim)
             except NoGap:
                 continue
             raise AssertionError(f"a witness at {c} for a spectrum that covers [0, 1]")

@@ -1,6 +1,7 @@
 """The witness and the properness verdict from one SVD of X, against the
 formulations they replace: |X| and g(|X|) through an eigendecomposition for
-the witness, and n x n projections compared by spectral norms for the verdict."""
+the witness, and n x n projections compared by spectral norms for the verdict,
+both compressed onto the right support of X."""
 
 import math
 
@@ -16,7 +17,6 @@ from scalex.operators import (
     estimate_spectrum,
     functional_calculus,
     infinite_projection_witness,
-    matrix_abs,
     opnorm,
     realize,
     synthesize,
@@ -26,33 +26,39 @@ from scalex.spectra import Properness, ScalingSpectrum
 SPECTRUM = ScalingSpectrum.from_intervals([(0, 0), (0.3, 0.6), (1, 1)])
 
 
-def interior(m, fiber_dim):
-    if fiber_dim is None:
-        return m
-    k = m.shape[0] - fiber_dim
-    return m[:k, :k]
+def matrix_abs(x):
+    """|X| = (X*X)^(1/2) via SVD."""
+    _, s, vh = np.linalg.svd(x)
+    return vh.conj().T @ (s[:, None] * vh)
 
 
-def reference_witness(x, c, tol=1e-9, cluster_tol=1e-8, fiber_dim=None):
+def interior(m, x, tol):
+    """m compressed onto the right support of x: B* m B for an orthonormal basis B."""
+    _, s, vh = np.linalg.svd(x)
+    b = vh[s > tol].conj().T
+    return b.conj().T @ m @ b
+
+
+def reference_witness(x, c, tol=1e-9, cluster_tol=1e-8):
     if estimate_spectrum(x, cluster_tol).contains(c):
         raise NoGap(f"{c} lies in the estimated spectrum")
     # eigh of |X| can report eigenvalues a hair below 0; the flat piece absorbs them
     g = PiecewiseFunction([(-math.inf, c, 0.0), (c, math.inf, lambda t: 1.0 / t)])
     u = x @ functional_calculus(matrix_abs(x), g)
-    uu = interior(u.conj().T @ u, fiber_dim)
-    uut = interior(u @ u.conj().T, fiber_dim)
+    uu = interior(u.conj().T @ u, x, tol)
+    uut = interior(u @ u.conj().T, x, tol)
     dominated = bool(np.min(np.linalg.eigvalsh(uu - uut)) >= -tol)
     return u, (c, opnorm(uu @ uu - uu), dominated, opnorm(uu - uut))
 
 
-def reference_verdict(x, tol=1e-8, gap_tol=0.1, fiber_dim=None):
+def reference_verdict(x, tol=1e-8, gap_tol=0.1):
     u, s, vh = np.linalg.svd(x)
     dist0, dist1 = s, np.abs(s - 1.0)
     gap_at_0 = not np.any((dist0 > tol) & (dist0 <= gap_tol))
     gap_at_1 = not np.any((dist1 > tol) & (dist1 <= gap_tol))
     p1 = vh.conj().T[:, dist1 <= tol]
     left = u[:, s > tol]
-    distance = opnorm(interior(p1 @ p1.conj().T - left @ left.conj().T, fiber_dim))
+    distance = opnorm(interior(p1 @ p1.conj().T - left @ left.conj().T, x, tol))
     nonproper = gap_at_0 and gap_at_1 and distance <= tol
     return (Properness.NON_PROPER if nonproper else Properness.PROPER, gap_at_0, gap_at_1, distance)
 
@@ -84,13 +90,12 @@ CASES = [
 def test_witness_matches_reference_at_a_gap_point(flag, seed, with_fiber_dim, c):
     x, fiber_dim = operand(flag, seed, with_fiber_dim)
     u, rep = infinite_projection_witness(x, c, fiber_dim=fiber_dim)
-    want_u, want = reference_witness(x, c, fiber_dim=fiber_dim)
+    want_u, want = reference_witness(x, c)
     assert opnorm(u - want_u) <= 1e-10
     assert rep.gap_point == want[0] and rep.dominated is want[2]
     assert abs(rep.projection_defect - want[1]) <= 1e-10
     assert abs(rep.norm_difference - want[3]) <= 1e-10
-    if fiber_dim is not None:
-        assert rep.dominated and rep.norm_difference >= 0.5
+    assert rep.dominated and rep.norm_difference >= 0.5
 
 
 @pytest.mark.parametrize("flag, seed, with_fiber_dim", CASES)
@@ -98,7 +103,7 @@ def test_witness_refuses_where_the_reference_does(flag, seed, with_fiber_dim):
     x, fiber_dim = operand(flag, seed, with_fiber_dim)
     assert estimate_spectrum(x, 0.35).contains(0.45)
     with pytest.raises(NoGap):
-        reference_witness(x, 0.45, cluster_tol=0.35, fiber_dim=fiber_dim)
+        reference_witness(x, 0.45, cluster_tol=0.35)
     with pytest.raises(NoGap):
         infinite_projection_witness(x, 0.45, cluster_tol=0.35, fiber_dim=fiber_dim)
 
@@ -107,11 +112,10 @@ def test_witness_refuses_where_the_reference_does(flag, seed, with_fiber_dim):
 def test_verdict_matches_reference(flag, seed, with_fiber_dim):
     x, fiber_dim = operand(flag, seed, with_fiber_dim)
     got = classify_properness(x, fiber_dim=fiber_dim)
-    want = reference_verdict(x, fiber_dim=fiber_dim)
+    want = reference_verdict(x)
     assert (got.verdict, got.gap_at_0, got.gap_at_1) == want[:3]
     assert abs(got.projection_distance - want[3]) <= 1e-10
-    if fiber_dim is not None:
-        assert got.verdict is flag
+    assert got.verdict is flag
 
 
 def factorizations(monkeypatch, call, *args, **kwargs):
