@@ -238,14 +238,19 @@ def _support_difference(support: np.ndarray, mask: np.ndarray, left: np.ndarray)
     return np.linalg.eigvalsh(m)
 
 
-def _has_shift_summand(coker: np.ndarray, ker: np.ndarray) -> bool:
-    """Whether right minus left support has an eigenvalue above 1/2 (Wold's q0).
+def _shift_basis(coker: np.ndarray, ker: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of Wold's q0, the cut of right minus left support above 1/2.
 
-    That eigenvalue is the largest sine of the angles between ker X and ker X*,
-    whose cosines are the singular values of coker* ker.
+    That difference is P_coker - P_ker.  On the plane of each principal pair
+    c = coker y, k = ker z (cos(theta) a singular value of coker* ker) it has
+    eigenvalues +-sin(theta), and the + one has the eigenvector
+    ((c + k) / 2cos(theta/2) + (c - k) / 2sin(theta/2)) / sqrt(2).
     """
-    cos = np.linalg.svd(coker.conj().T @ ker, compute_uv=False)
-    return bool(np.min(cos, initial=1.0) ** 2 < 0.75)
+    y, cos, zh = np.linalg.svd(coker.conj().T @ ker)
+    keep = cos**2 < 0.75
+    c, k = coker @ y[:, keep], ker @ zh[keep].conj().T
+    half = np.arccos(cos[keep]) / 2
+    return ((c + k) / (2 * np.cos(half)) + (c - k) / (2 * np.sin(half))) / np.sqrt(2)
 
 
 def classify_properness(
@@ -276,7 +281,7 @@ def _classify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
     u, s, vh = np.linalg.svd(x)
     rank = np.count_nonzero(s > tol)  # s is sorted, so the support is a prefix
     r, localized = _require_scalinglike(x, tol, fiber_dim, vh[:rank])
-    if not _has_shift_summand(u[:, rank:], vh[rank:].conj().T):
+    if not _shift_basis(u[:, rank:], vh[rank:].conj().T).shape[1]:
         raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
     # distances of the singular values from the two distinguished points

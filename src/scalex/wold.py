@@ -7,11 +7,12 @@ between right and left support, the polar decomposition of X on it yields the
 weight block, and multiplying its basis by X walks down the shift fibers.
 
 Truncated inputs violate the identity at one boundary slot.  The recursion
-tolerates exactly that failure mode: the boundary test is basis-free (the
-residual's range must avoid the right support), the first projection is a
-spectral cut rather than a literal difference, and when the recursion claims
-space that the support analysis booked as kernel the overlap is reported, not
-hidden.
+tolerates exactly that failure mode.  The boundary test is basis-free (the
+residual's range must avoid the right support).  The first projection is the
+eigenspace of right minus left support above 1/2, read off the principal
+angles between ker X and ker X*; the difference itself is a projection only
+where the identity holds.  Space that the recursion claims and the support
+analysis booked as kernel is reported as overlap, not hidden.
 """
 
 from __future__ import annotations
@@ -21,26 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import opnorm, require_square, _require_scalinglike
+from .operators import opnorm, _operand, _require_scalinglike, _shift_basis
 
 __all__ = ["WoldReport", "polar", "wold_decompose", "reconstruct"]
 
 
 def polar(x: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition x = u p with u a partial isometry and p = |x|."""
-    x = np.asarray(x, dtype=complex)
-    u_, s, vh = np.linalg.svd(x, full_matrices=False)
+    """Polar decomposition x = u p with u a partial isometry and p = |x|, in x's dtype."""
+    u_, s, vh = np.linalg.svd(np.asarray(x), full_matrices=False)
     keep = s > tol
     u = u_[:, keep] @ vh[keep, :]
     p = vh.conj().T @ (s[:, None] * vh)
     return u, p
-
-
-def _spectral_projection_above(h: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """(projection, orthonormal basis) onto eigenvectors of Hermitian h above cut."""
-    w, v = np.linalg.eigh(h)
-    basis = v[:, w > cut]
-    return basis @ basis.conj().T, basis
 
 
 @dataclass(eq=False)
@@ -50,13 +43,14 @@ class WoldReport:
     fiber_bases[k] is an n x r basis of the k-th shift fiber: the first spans
     the spectral cut of right minus left support, the second is its image
     under the polar isometry, and each later one is X times the previous.
-    a_restricted is the weight block expressed on the first fiber basis.
+    a_restricted is the weight block on the first fiber basis, kernel_basis
+    an n x k basis of the zero summand; all are float64 for a real operand.
     """
 
     dimension: int
     a_restricted: np.ndarray
     unitary_part: np.ndarray
-    kernel_projection: np.ndarray
+    kernel_basis: np.ndarray
     fiber_bases: list[np.ndarray] = field(repr=False, default_factory=list)
     p2_basis: np.ndarray = field(repr=False, default=None)
     boundary_overlap_rank: int = 0
@@ -79,7 +73,7 @@ class WoldReport:
 
     @property
     def kernel_rank(self) -> int:
-        return int(round(float(np.trace(self.kernel_projection).real)))
+        return self.kernel_basis.shape[1]
 
     @property
     def a_eigenvalues(self) -> list[float]:
@@ -102,34 +96,27 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
 
     The recursion carries only the n x r fiber bases, so a call does a fixed
     number of n x n factorizations whatever the depth; per step it takes the
-    singular values of the n x r image X V_k.
+    singular values of the n x r image X V_k.  A real x stays in float64.
 
     Raises :class:`NotScalinglike` when the scaling identity fails beyond tol
     away from the boundary, :class:`NoConvergence` when the fiber recursion
     exceeds max_steps (default: the dimension) without dying out, and
     :class:`DimensionMismatch` on an empty or non-square x.
     """
-    x = require_square(np.asarray(x, dtype=complex))
+    x = _operand(x)
     n = x.shape[0]
     if max_steps is None:
         max_steps = n
 
-    # one SVD serves the scaling gate and both supports; the masks copy out
-    # the support rows and columns, so the full factors are freed
+    # one SVD serves the scaling gate, the shift basis and the kernel basis
     left, s, right = np.linalg.svd(x)
-    left, right = left[:, s > tol], right[s > tol]
-    residual, _ = _require_scalinglike(x, tol, None, right)
-    defect_norm = opnorm(residual)
-
-    p0, p0p = right.conj().T @ right, left @ left.conj().T
-    eye = np.eye(n, dtype=complex)
-
-    # the literal difference right - left is a projection only when the
-    # identity holds exactly; the > 1/2 spectral cut survives the boundary
-    _, q0_basis = _spectral_projection_above(p0 - p0p, 0.5)
+    rank = np.count_nonzero(s > tol)  # s is sorted, so the support is a prefix
+    defect_norm = opnorm(_require_scalinglike(x, tol, None, right[:rank])[0])
+    ker = right[rank:].conj().T
+    q0_basis = _shift_basis(left[:, rank:], ker)
 
     fiber_bases: list[np.ndarray] = []
-    a_restricted = np.zeros((0, 0), dtype=complex)
+    a_restricted = np.zeros((0, 0), dtype=x.dtype)
     tail_norm = 0.0
 
     if q0_basis.shape[1] > 0:
@@ -146,30 +133,36 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
                 raise NoConvergence(f"fiber recursion still alive after {max_steps} steps")
             fiber_bases.append(image)
 
-    stacked = np.hstack(fiber_bases) if fiber_bases else np.zeros((n, 0), dtype=complex)
-    p1 = stacked @ stacked.conj().T
+    stacked = np.hstack(fiber_bases) if fiber_bases else np.zeros((n, 0), dtype=x.dtype)
 
-    # kernel estimate, shrunk by whatever the recursion already claimed
-    p3_raw = eye - p0
-    p3, _ = _spectral_projection_above(p3_raw @ (eye - p1) @ p3_raw, 0.5)
-    raw_rank = int(round(float(np.trace(p3_raw).real)))
-    p3_rank = int(round(float(np.trace(p3).real)))
-    overlap = raw_rank - p3_rank
+    # kernel estimate K, shrunk by whatever the recursion B already claimed:
+    # P3 is the cut of K*(I - B B*)K above 1/2, an m x m problem
+    kb = right[rank:] @ stacked
+    w, z = np.linalg.eigh(np.eye(len(kb)) - kb @ kb.conj().T)
+    kernel_basis = ker @ z[:, w > 0.5]
+    overlap = ker.shape[1] - kernel_basis.shape[1]
 
-    p2, p2_basis = _spectral_projection_above(eye - p1 - p3, 0.5)
+    # the unitary summand P2 is the cut of H = I - B B* - P3 above 1/2, and
+    # P1 + P2 + P3 - I = P2 - H has eigenvalues 1[w > 1/2] - w
+    claimed = np.hstack([stacked, kernel_basis])
+    h = -(claimed @ claimed.conj().T)
+    h[np.diag_indices(n)] += 1.0
+    w, v = np.linalg.eigh(h)
+    p2_basis = v[:, w > 0.5]
     unitary_part = p2_basis.conj().T @ x @ p2_basis
 
     report = WoldReport(
         dimension=n,
         a_restricted=a_restricted,
         unitary_part=unitary_part,
-        kernel_projection=p3,
+        kernel_basis=kernel_basis,
         fiber_bases=fiber_bases,
         p2_basis=p2_basis,
         boundary_overlap_rank=overlap,
         boundary_q_index=len(fiber_bases) - 1 if overlap > 0 and fiber_bases else None,
     )
-    report.residuals = _diagnostics(x, report, stacked, p1, p2, p3, defect_norm, tail_norm)
+    completeness = float(np.max(np.abs((w > 0.5) - w)))
+    report.residuals = _diagnostics(x, report, stacked, defect_norm, completeness, tail_norm)
     return report
 
 
@@ -196,9 +189,8 @@ def _fiber_defects(stacked: np.ndarray, fibers: int) -> tuple[float, float]:
     return proj_defect, ortho_defect
 
 
-def _diagnostics(x, report, stacked, p1, p2, p3, defect_norm, tail_norm) -> dict[str, float]:
+def _diagnostics(x, report, stacked, defect_norm, completeness, tail_norm) -> dict[str, float]:
     proj_defect, ortho_defect = _fiber_defects(stacked, len(report.fiber_bases))
-    eye = np.eye(report.dimension, dtype=complex)
     xc = report.unitary_part
     k = xc.shape[0]
     unit_defect = 0.0
@@ -206,13 +198,15 @@ def _diagnostics(x, report, stacked, p1, p2, p3, defect_norm, tail_norm) -> dict
         unit_defect = max(
             opnorm(xc.conj().T @ xc - np.eye(k)), opnorm(xc @ xc.conj().T - np.eye(k))
         )
+    bh = stacked.conj().T
     return {
         "scaling_defect": defect_norm,
         "projection_defect": proj_defect,
         "orthogonality_defect": ortho_defect,
-        "completeness_defect": opnorm(p1 + p2 + p3 - eye),
+        "completeness_defect": completeness,
         "unitarity_defect": unit_defect,
-        "commutation_defect": opnorm(p1 @ x - x @ p1),
+        # P1 X - X P1 for P1 = B B*, formed from the bases
+        "commutation_defect": opnorm(stacked @ (bh @ x) - (x @ stacked) @ bh),
         "reconstruction_defect": opnorm(reconstruct(report) - x),
         "boundary_overlap_rank": float(report.boundary_overlap_rank),
         "rejected_tail_norm": tail_norm,
@@ -220,13 +214,12 @@ def _diagnostics(x, report, stacked, p1, p2, p3, defect_norm, tail_norm) -> dict
 
 
 def reconstruct(r: WoldReport) -> np.ndarray:
-    """Reassemble shift-block + unitary + zero in the recovered basis."""
-    out = np.zeros((r.dimension, r.dimension), dtype=complex)
+    """Reassemble shift-block + unitary + zero in the recovered basis.
+
+    The summands V1 A V0*, V_{k+1} V_k* and P2 U P2* are all of the form
+    head tail*, so one product of the stacked heads and tails forms their sum.
+    """
+    heads, tails = [r.p2_basis, *r.fiber_bases[1:]], [r.p2_basis @ r.unitary_part.conj().T]
     if r.fiber_bases:
-        v0, v1 = r.fiber_bases[0], r.fiber_bases[1]
-        out += v1 @ r.a_restricted @ v0.conj().T
-        for va, vb in zip(r.fiber_bases[1:], r.fiber_bases[2:]):
-            out += vb @ va.conj().T
-    if r.p2_basis is not None and r.p2_basis.shape[1] > 0:
-        out += r.p2_basis @ r.unitary_part @ r.p2_basis.conj().T
-    return out
+        tails += [r.fiber_bases[0] @ r.a_restricted.conj().T, *r.fiber_bases[1:-1]]
+    return np.hstack(heads) @ np.hstack(tails).conj().T

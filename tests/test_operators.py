@@ -4,7 +4,7 @@ import pytest
 from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NotAdmissible, UndefinedAt
 from scalex.operators import (
     PiecewiseFunction,
-    _has_shift_summand,
+    _shift_basis,
     TruncatedShiftModel,
     classify_properness,
     conjugate_random,
@@ -249,8 +249,11 @@ def test_shift_summand_test_is_the_half_cut_of_right_minus_left_support(seed):
     theta = rng.uniform(0, np.pi / 3, size=m)
     w = random_unitary(n, rng)
     ker, coker = w[:, :m], w[:, :m] * np.cos(theta) + w[:, m : 2 * m] * np.sin(theta)
-    right_minus_left = coker @ coker.conj().T - ker @ ker.conj().T
-    assert _has_shift_summand(coker, ker) is bool(np.linalg.eigvalsh(right_minus_left)[-1] > 0.5)
+    lam, v = np.linalg.eigh(coker @ coker.conj().T - ker @ ker.conj().T)
+    basis, cut = _shift_basis(coker, ker), v[:, lam > 0.5]
+    assert (basis.shape[1] > 0) is bool(lam[-1] > 0.5)
+    assert opnorm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-12
+    assert opnorm(basis @ basis.conj().T - cut @ cut.conj().T) <= 1e-12
 
 @pytest.mark.parametrize("x", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(4)], ids=["empty", "2x3", "1-d"])
 @pytest.mark.parametrize(

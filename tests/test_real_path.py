@@ -24,6 +24,7 @@ from scalex.operators import (
     synthesize,
 )
 from scalex.spectra import Properness, ScalingSpectrum, SpectralSet
+from scalex.wold import polar, wold_decompose
 
 SPECTRUM = ScalingSpectrum.from_intervals([(0, 0), (0.2, 0.4), (0.6, 0.8), (1, 1)])
 TOL = 1e-10
@@ -140,6 +141,33 @@ def test_real_operands_keep_the_factorization_counts(monkeypatch):
     calls = factorizations(monkeypatch, classify_properness, x, fiber_dim=fiber_dim)
     assert [c[:2] for c in calls if c[:2] == ("svd", (n, n))] == [("svd", (n, n))]
     assert not [c for c in calls if c[0] in ("eigh", "norm")]
+
+
+@pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
+def test_wold_on_real_operands_matches_the_complex_path(monkeypatch, flag):
+    x, xc, _, _ = model_pair(flag, 8)
+    got, want = wold_decompose(x).to_json(), wold_decompose(xc).to_json()
+    for key in ("q_ranks", "unitary_rank", "kernel_rank"):
+        assert got[key] == want[key], key
+    assert len(got["a_eigenvalues"]) == len(want["a_eigenvalues"])
+    for a, b in zip(got["a_eigenvalues"], want["a_eigenvalues"]):
+        close(a, b)
+    assert got["residuals"].keys() == want["residuals"].keys()
+    for key, value in want["residuals"].items():
+        close(got["residuals"][key], value)
+
+    real = factorizations(monkeypatch, wold_decompose, x)
+    cplx = factorizations(monkeypatch, wold_decompose, xc)
+    assert real and {c[2] for c in real} == {np.dtype(float)}
+    assert {c[2] for c in cplx} == {np.dtype(complex)}
+    assert [c[:2] for c in real] == [c[:2] for c in cplx]
+
+
+def test_polar_keeps_a_real_operand_real():
+    x = np.ascontiguousarray(model_pair(Properness.PROPER, 9)[0].real)
+    u, p = polar(x)
+    assert u.dtype == p.dtype == np.float64
+    assert np.abs(u @ p - x).max() <= TOL
 
 
 def test_a_tiny_imaginary_part_keeps_the_complex_path(monkeypatch):
