@@ -3,7 +3,8 @@
 
 Demonstrates the full numerical loop: synthesis from a spectrum, basis
 scrambling, Wold decomposition, and comparison of the recovered weight-block
-eigenvalues with the synthesized ones.
+eigenvalues with the synthesized ones: it prints the `scalex wold` report plus
+the planted eigenvalues and the largest error.
 """
 
 import argparse
@@ -32,19 +33,13 @@ def main() -> None:
     x = conjugate_random(realize(model), args.seed + 1)
     report = wold_decompose(x)
 
-    recovered = report.a_eigenvalues
+    errors = [abs(p - r) for p, r in zip(planted, report.a_eigenvalues)]
     print(json.dumps({
+        **report.to_json(),
         "planted_eigenvalues": planted,
-        "recovered_eigenvalues": recovered,
-        "max_eigenvalue_error": max(
-            abs(p - r) for p, r in zip(planted, recovered)
-        ) if planted else 0.0,
-        "q_ranks": report.q_ranks,
-        "unitary_rank": report.unitary_rank,
-        "kernel_rank": report.kernel_rank,
+        "max_eigenvalue_error": max(errors, default=0.0),
         "boundary_overlap_rank": report.boundary_overlap_rank,
-        "residuals": report.residuals,
-    }, indent=2))
+    }, indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

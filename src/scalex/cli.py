@@ -2,7 +2,7 @@
 
 Every subcommand prints a single JSON report (sorted keys, deterministic for
 a fixed seed apart from the ``timestamp`` field).  Exit codes: 0 success,
-2 malformed input, 3 mathematically inadmissible request.
+2 malformed input or command line, 3 mathematically inadmissible request.
 """
 
 from __future__ import annotations
@@ -47,11 +47,18 @@ def _bind_lab() -> None:
 
 
 def _load_json_arg(value: str) -> dict:
-    """Accept inline JSON (starts with '{') or a path to a JSON file."""
-    if value.lstrip().startswith("{"):
-        return json.loads(value)
-    with open(value) as fh:
-        return json.load(fh)
+    """Accept inline JSON (starts with '{') or a path to a JSON file holding an object."""
+    try:
+        if value.lstrip().startswith("{"):
+            obj = json.loads(value)
+        else:
+            with open(value) as fh:
+                obj = json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{value}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _load_operand(path: str) -> tuple[np.ndarray, int | None]:
@@ -61,13 +68,6 @@ def _load_operand(path: str) -> tuple[np.ndarray, int | None]:
         model = matio.load_model(path)
         return realize(model), model.fiber_dim
     return matio.load_matrix(path), None
-
-
-def _properness_flag(name: str) -> Properness:
-    try:
-        return Properness(name.lower())
-    except ValueError:
-        raise ValueError(f"properness must be 'proper' or 'nonproper', got {name!r}") from None
 
 
 def classify_report(spectrum: ScalingSpectrum) -> dict:
@@ -148,7 +148,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
     _bind_lab()
     seed = args.seed if args.seed is not None else int(os.environ.get("SCALEX_SEED", "0"))
     spectrum = ScalingSpectrum.from_json(_load_json_arg(args.spec))
-    flag = _properness_flag(args.properness)
+    flag = Properness(args.properness)
     model = synthesize(spectrum, flag, args.depth, args.samples, seed)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -183,7 +183,7 @@ def cmd_wold(args: argparse.Namespace) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> dict:
     x, fiber_dim = _load_operand(getattr(args, "in"))
-    verdict, defect = _verify(x, args.cluster_tol, args.gap_tol, fiber_dim)
+    verdict, defect = _verify(x, args.tol, args.gap_tol, fiber_dim)
     return {
         **asdict(verdict),
         "verdict": verdict.verdict.value,
@@ -214,23 +214,31 @@ def cmd_specestimate(args: argparse.Namespace) -> dict:
     return estimate_spectrum(x, args.cluster_tol).to_json()
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=1e-8)
-    p.add_argument("--gap-tol", dest="gap_tol", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None, help="falls back to env SCALEX_SEED, then 0")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so they end in the same JSON error report as bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _tolerance(text: str) -> float:
+    """The type of every tolerance flag: a float > 0 (NaN is not)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"tolerances must be > 0, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scalex", description="scaling-element decision engine and operator lab"
-    )
+    """Each subcommand declares exactly the tolerances its lab call reads, with their defaults."""
+    parser = _Parser(prog="scalex", description="scaling-element decision engine and operator lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_):
-        p = sub.add_parser(name, help=help_)
-        _add_common(p)
+    def add(name, func, help_, **tolerances):
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.set_defaults(func=func)
+        for dest, default in tolerances.items():
+            p.add_argument("--" + dest.replace("_", "-"), type=_tolerance, default=default)
         return p
 
     p = add("classify", cmd_classify, "classify a spectrum: admissibility, infinite projections, K-ranks")
@@ -247,38 +255,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("kgroups", cmd_kgroups, "K-group ranks of a descriptor, punctured set or spectral set")
     p.add_argument("--spec", required=True)
 
-    p = add("synth", cmd_synth, "synthesize a truncated shift model for a spectrum")
+    p = add("synth", cmd_synth, "synthesize a truncated shift model for a spectrum", cluster_tol=1e-8)
     p.add_argument("--spec", required=True)
-    p.add_argument("--properness", default="proper")
+    p.add_argument("--properness", type=str.lower, choices=[f.value for f in Properness], default="proper")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--seed", type=int, default=None, help="falls back to env SCALEX_SEED, then 0")
     p.add_argument("--out", default=None, help="output directory (default: cwd)")
 
-    p = add("wold", cmd_wold, "run the Wold decomposition on a matrix or model file")
+    p = add("wold", cmd_wold, "run the Wold decomposition on a matrix or model file", tol=1e-9)
     p.add_argument("--in", required=True)
     p.add_argument("--out", default=None, help="also write the report JSON here")
 
-    p = add("verify", cmd_verify, "check the scaling identity and classify properness")
+    p = add("verify", cmd_verify, "check the scaling identity and classify properness", tol=1e-8, gap_tol=0.1)
     p.add_argument("--in", required=True)
 
-    p = add("witness", cmd_witness, "construct an infinite-projection witness at a gap point")
+    p = add("witness", cmd_witness, "construct an infinite-projection witness at a gap point",
+            tol=1e-9, cluster_tol=1e-8)
     p.add_argument("--in", required=True)
     p.add_argument("--gap", type=float, required=True, help="gap point c in (0,1)")
     p.add_argument("--out", default=None, help="directory for the witness matrix")
 
-    p = add("specestimate", cmd_specestimate, "estimate the spectrum of a matrix or model")
+    p = add("specestimate", cmd_specestimate, "estimate the spectrum of a matrix or model", cluster_tol=1e-8)
     p.add_argument("--in", required=True)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     code, indent = EXIT_OK, 2
     try:
-        if not all(t > 0 for t in (args.tol, args.cluster_tol, args.gap_tol)):
-            raise ValueError("all tolerances must be > 0")
+        args = build_parser().parse_args(argv)
         report = args.func(args)
     except (ScalexError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         code = EXIT_INADMISSIBLE if isinstance(exc, AdmissibilityError) else EXIT_PARSE

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotAdmissible, NotMember
-from .spectra import GeneratorDescriptor, Properness, SpectralSet
+from .errors import InvalidInterval, NotAdmissible, NotMember
+from .spectra import GeneratorDescriptor, Properness, SpectralSet, _is_numbers
 
 __all__ = [
     "Component",
@@ -96,6 +96,8 @@ class PuncturedSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PuncturedSet":
+        if not isinstance(obj, dict) or "base" not in obj or not _is_numbers(obj.get("removed", [])):
+            raise InvalidInterval("punctured-set JSON must be {'base': <spectral-set>, 'removed': [x, ...]}")
         return cls(SpectralSet.from_json(obj["base"]), tuple(obj.get("removed", ())))
 
 

@@ -87,9 +87,9 @@ def _entry_from_json(v) -> complex:
 
 
 def load_model(path: str) -> TruncatedShiftModel:
-    with open(path) as fh:
-        obj = json.load(fh)
     try:
+        with open(path) as fh:
+            obj = json.load(fh)
         a_field = obj["A"]
         if isinstance(a_field, str):
             a = load_matrix(os.path.join(os.path.dirname(os.path.abspath(path)), a_field))
@@ -97,5 +97,5 @@ def load_model(path: str) -> TruncatedShiftModel:
             a = np.array([[_entry_from_json(v) for v in row] for row in a_field], dtype=complex)
             _require_finite(a, path)
         return TruncatedShiftModel(int(obj["d"]), int(obj["N"]), a)
-    except TypeError as exc:  # a JSON value of the wrong type, e.g. a list for the model
+    except (TypeError, OverflowError, RecursionError) as exc:  # a wrongly typed, too large or too deep JSON value
         raise ValueError(f"{path}: not a model file: {exc}") from exc

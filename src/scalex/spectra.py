@@ -9,6 +9,7 @@ each decision procedure is deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +35,13 @@ __all__ = [
 class Properness(Enum):
     PROPER = "proper"
     NON_PROPER = "nonproper"
+
+
+def _is_numbers(value) -> bool:
+    """Whether a JSON value is a list of numbers that fit a float (booleans are not numbers)."""
+    return isinstance(value, list) and all(
+        isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max) for v in value
+    )
 
 
 def _check_endpoints(lo: float, hi: float) -> tuple[float, float]:
@@ -97,9 +105,10 @@ class SpectralSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralSet":
-        if not isinstance(obj, dict) or "intervals" not in obj:
+        raw = obj.get("intervals") if isinstance(obj, dict) else None
+        if not (isinstance(raw, list) and all(_is_numbers(p) and len(p) == 2 for p in raw)):
             raise InvalidInterval("spectral-set JSON must be {'intervals': [[lo, hi], ...]}")
-        return normalize(obj["intervals"])
+        return normalize(raw)
 
 
 def normalize(raw: Iterable[Sequence[float]]) -> SpectralSet:
@@ -162,9 +171,9 @@ class GeneratorDescriptor:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GeneratorDescriptor":
-        if not isinstance(obj, dict) or "spectrum" not in obj or "proper" not in obj:
+        if not isinstance(obj, dict) or "spectrum" not in obj or not isinstance(obj.get("proper"), bool):
             raise InvalidInterval(
-                "descriptor JSON must be {'spectrum': <spectral-set>, 'proper': bool}"
+                "descriptor JSON must be {'spectrum': <spectral-set>, 'proper': true|false}"
             )
         flag = Properness.PROPER if obj["proper"] else Properness.NON_PROPER
         return cls(ScalingSpectrum.from_json(obj["spectrum"]), flag)

@@ -13,6 +13,19 @@ FULL_01 = '{"intervals": [[0,1]]}'
 ZERO_TAIL = '{"intervals": [[0,0],[0.5,1]]}'
 
 
+# the tolerance and seed flags each subcommand declares, and arguments that satisfy its required flags
+DECLARED = {
+    "classify": set(), "homcheck": set(), "isocheck": set(), "kgroups": set(),
+    "synth": {"--seed", "--cluster-tol"}, "wold": {"--tol"}, "verify": {"--tol", "--gap-tol"},
+    "witness": {"--tol", "--cluster-tol"}, "specestimate": {"--cluster-tol"},
+}
+REQUIRED = {
+    "classify": ["--spec", "x"], "homcheck": ["--from", "x", "--to", "x"], "isocheck": ["--from", "x", "--to", "x"],
+    "kgroups": ["--spec", "x"], "synth": ["--spec", "x"], "wold": ["--in", "x"], "verify": ["--in", "x"],
+    "witness": ["--in", "x", "--gap", "0.5"], "specestimate": ["--in", "x"],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -215,13 +228,15 @@ class TestBadOperands:
 
     @pytest.mark.parametrize("value", ["0", "nan"])
     @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol", "--gap-tol"])
-    def test_non_positive_tolerance_exits_2(self, capsys, tmp_path, flag, value):
-        run(capsys, "synth", "--spec", POINTS_0H1, "--properness", "nonproper", "--out", str(tmp_path))
-        code = main(["verify", "--in", str(tmp_path / "model.json"), flag, value])
-        out = capsys.readouterr().out
-        doc, end = json.JSONDecoder().raw_decode(out)
-        assert out[end:].strip() == ""
-        assert code == 2 and doc["kind"] == "ValueError"
+    def test_non_positive_tolerance_exits_2(self, capsys, flag, value):
+        # every subcommand that declares the flag refuses the value before it reads its input
+        for command in (command for command, flags in DECLARED.items() if flag in flags):
+            code = main([command, *REQUIRED[command], flag, value])
+            out = capsys.readouterr().out
+            doc, end = json.JSONDecoder().raw_decode(out)
+            assert out[end:].strip() == ""
+            assert code == 2 and doc["kind"] == "ValueError", (command, doc)
+            assert "must be > 0" in doc["error"]
 
     @pytest.mark.parametrize("command", ["verify", "wold"])
     @pytest.mark.parametrize("text", ["0 0\n", "2 3\n1,0 0,0 0,0\n0,0 1,0 0,0\n"], ids=["empty", "2x3"])
@@ -241,6 +256,76 @@ class TestBadOperands:
         path.write_text(text)
         code, rep = run(capsys, "verify", "--in", str(path))
         assert code == 3 and rep["kind"] == "NotAdmissible"
+
+
+class TestOptionSurface:
+    """Each subcommand accepts exactly the tolerance and seed flags its call reads."""
+
+    UNDECLARED = [
+        (command, flag)
+        for command, flags in DECLARED.items()
+        for flag in ("--tol", "--cluster-tol", "--gap-tol", "--seed")
+        if flag not in flags
+    ]
+
+    def usage_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)  # exactly one document
+        assert captured.err == ""
+        assert code == 2 and set(doc) == {"error", "kind"} and doc["kind"] == "ValueError", doc
+        return doc
+
+    @pytest.mark.parametrize("command, flag", UNDECLARED)
+    def test_undeclared_flag_exits_2(self, capsys, command, flag):
+        # the flag is refused before the subcommand reads its (here missing) input
+        doc = self.usage_error(capsys, [command, *REQUIRED[command], flag, "3"])
+        assert doc["error"] == f"unrecognized arguments: {flag} 3"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--spec", POINTS_01, "--tol", "1e-9"],
+            ["specestimate", "--in", "x.mat", "--seed", "3"],
+            ["verify", "--in", "x.mat", "--cluster-tol", "1e-8"],
+            ["verify", "--in", "x.mat", "--gap", "0.5"],
+            ["classify"],
+            ["witness", "--in", "x.mat"],
+            ["nosuch", "--in", "x.mat"],
+            [],
+            ["wold", "--in", "x.mat", "--tol", "abc"],
+            ["witness", "--in", "x.mat", "--gap", "half"],
+            ["synth", "--spec", POINTS_01, "--seed", "1.5"],
+            ["synth", "--spec", POINTS_01, "--properness", "bogus"],
+        ],
+        ids=[
+            "classify-tol", "specestimate-seed", "verify-cluster-tol", "verify-abbreviated-gap-tol",
+            "missing-spec", "missing-gap", "unknown-subcommand", "no-subcommand", "tol-not-a-number",
+            "gap-not-a-number", "seed-not-an-int", "unknown-properness",
+        ],
+    )
+    def test_malformed_command_line_is_one_json_error(self, capsys, argv):
+        self.usage_error(capsys, argv)
+
+    def test_verify_tol_is_its_default(self, capsys, tmp_path):
+        run(capsys, "synth", "--spec", POINTS_0H1, "--properness", "nonproper", "--out", str(tmp_path))
+        reports = []
+        for extra in ([], ["--tol", "1e-8"]):
+            code, rep = run(capsys, "verify", "--in", str(tmp_path / "model.json"), *extra)
+            rep.pop("timestamp")
+            reports.append((code, rep))
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
+    def test_verify_tol_bounds_the_scaling_residual(self, capsys, tmp_path):
+        # an entry moved by 1e-5 breaks the scaling identity at 1e-8 but not at 1e-4
+        run(capsys, "synth", "--spec", POINTS_0H1, "--properness", "nonproper", "--out", str(tmp_path))
+        lines = (tmp_path / "model.mat").read_text().split("\n")
+        lines[1] = lines[1].replace("0.0,0.0", "1e-05,0.0", 1)
+        (tmp_path / "noisy.mat").write_text("\n".join(lines))
+        code, rep = run(capsys, "verify", "--in", str(tmp_path / "noisy.mat"))
+        assert code == 3 and rep["kind"] == "NotScalinglike"
+        code, rep = run(capsys, "verify", "--in", str(tmp_path / "noisy.mat"), "--tol", "1e-4")
+        assert code == 0 and rep["verdict"] == "nonproper"
 
 
 class TestDeterminism:

@@ -1,7 +1,10 @@
-"""Mangled matrix and model files on the lab subcommands: every run ends with
-exit code 0, 2 or 3 and prints exactly one JSON document."""
+"""Mangled matrix and model files on the lab subcommands, and wrongly typed JSON
+on the exact-engine ones: every run ends with exit code 0, 2 or 3 and prints
+exactly one JSON document."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +74,9 @@ MODEL_MANGLES = {
     "A-nan": lambda t: t.replace("0.5", "NaN"),
     "A-inf": lambda t: t.replace("0.5", "-Infinity"),
     "A-not-positive": lambda t: t.replace("0.5", "-0.5"),
+    "d-overflow": lambda t: t.replace('"d": 2', '"d": 1e999'),
+    "A-huge-int": lambda t: t.replace("0.5", "1" + "0" * 400),
+    "deep-nesting": lambda t: t.replace("[0.5, 0.0]", "[" * 10_000 + "]" * 10_000),
     "empty": lambda t: "",
     "binary-junk": lambda t: b"\x00\xff\xfe\x80junk\xc3\x28".decode("latin-1"),
 }
@@ -144,3 +150,71 @@ def test_random_edits(capsys, tmp_path, good_matrix, edits, which, command):
         text = text[:i] + piece + text[i:] if op == "insert" else text[:i] + text[i + 1 :]
     write(tmp_path / name, text)
     run_cli(capsys, [command, "--in", str(tmp_path / name), *COMMANDS[command]])
+
+
+# Exact-engine inputs whose JSON values have the wrong type: a number or null
+# where a list belongs, strings and booleans where numbers belong, a string
+# where the properness flag belongs, an integer too large for a float, lists
+# nested deeper than the JSON parser recurses.
+HUGE = "1" + "0" * 400
+INTERVALS_MANGLES = {
+    "intervals-number": "5",
+    "intervals-null-entry": "[null]",
+    "intervals-number-entry": "[5]",
+    "intervals-string-entry": '["01"]',
+    "endpoint-null": "[[null, 1]]",
+    "endpoint-string": '[["0", "1"]]',
+    "endpoint-bool": "[[false, true]]",
+    "endpoint-huge-int": f"[[0, 0], [0.5, {HUGE}], [1, 1]]",
+    "deep-nesting": "[" * 10_000 + "]" * 10_000,
+}
+GOOD_SPEC = '{"intervals": [[0, 0], [0.5, 0.5], [1, 1]]}'
+GOOD_DESCRIPTOR = f'{{"spectrum": {GOOD_SPEC}, "proper": true}}'
+DESCRIPTOR_MANGLES = {
+    "proper-string": f'{{"spectrum": {GOOD_SPEC}, "proper": "false"}}',
+    "proper-null": f'{{"spectrum": {GOOD_SPEC}, "proper": null}}',
+    "proper-number": f'{{"spectrum": {GOOD_SPEC}, "proper": 0}}',
+    "spectrum-number": '{"spectrum": 5, "proper": true}',
+}
+PUNCTURED_MANGLES = {
+    "removed-number": f'{{"base": {GOOD_SPEC}, "removed": 5}}',
+    "removed-null-entry": f'{{"base": {GOOD_SPEC}, "removed": [null]}}',
+    "removed-string": f'{{"base": {GOOD_SPEC}, "removed": "12"}}',
+    "removed-bool-entry": f'{{"base": {GOOD_SPEC}, "removed": [true]}}',
+    "removed-huge-int": f'{{"base": {GOOD_SPEC}, "removed": [{HUGE}]}}',
+    "base-number": '{"base": 5, "removed": [0.5]}',
+}
+
+EXACT_CASES = {
+    **{f"classify-{k}": ["classify", "--spec", f'{{"intervals": {v}}}'] for k, v in INTERVALS_MANGLES.items()},
+    **{
+        f"homcheck-{k}": ["homcheck", "--from", f'{{"spectrum": {{"intervals": {v}}}, "proper": true}}',
+                          "--to", GOOD_DESCRIPTOR]
+        for k, v in INTERVALS_MANGLES.items()
+    },
+    **{f"isocheck-{k}": ["isocheck", "--from", GOOD_DESCRIPTOR, "--to", v] for k, v in DESCRIPTOR_MANGLES.items()},
+    **{f"kgroups-{k}": ["kgroups", "--spec", v] for k, v in {**DESCRIPTOR_MANGLES, **PUNCTURED_MANGLES}.items()},
+}
+
+
+@pytest.mark.parametrize("argv", EXACT_CASES.values(), ids=EXACT_CASES.keys())
+def test_wrongly_typed_exact_engine_json_exits_2(argv):
+    # -X importtime logs every module the interpreter loads, to stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "scalex", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr[-2000:]
+    doc = json.loads(proc.stdout)  # exactly one document
+    assert set(doc) == {"error", "kind"}
+    loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "scalex.spectra" in loaded
+    assert not {m for m in loaded if m.partition(".")[0] == "numpy"}
+
+
+@pytest.mark.parametrize("command", ["classify", "kgroups"])
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"spec"'])
+def test_spec_file_that_is_not_an_object_exits_2(capsys, tmp_path, command, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    code, doc = run_cli(capsys, [command, "--spec", str(path)])
+    assert code == 2 and doc["kind"] == "ValueError"
