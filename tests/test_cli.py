@@ -172,6 +172,12 @@ class TestPipeline:
         )
         assert code == 3 and rep["kind"] == "NotAdmissible"
 
+    # spectrum, synth flags, witness flags: a gap at every cut but 0.5, and a spectrum covering (0, 1)
+    SWEEPS = [
+        (POINTS_0H1, ["--depth", "6", "--samples", "4"], []),
+        (FULL_01, ["--depth", "5", "--samples", "40"], ["--cluster-tol", "0.2"]),
+    ]
+
     def test_decision_engine_agrees_with_matrix_pipeline(self, capsys, tmp_path):
         # the exact decision and the synthesized-witness run must tell one story
         code, decision = run(capsys, "classify", "--spec", POINTS_01)
@@ -180,6 +186,16 @@ class TestPipeline:
         run(capsys, "synth", "--spec", POINTS_01, "--depth", "6", "--out", out)
         code, rep = run(capsys, "witness", "--in", out + "/model.json", "--gap", "0.5")
         assert code == 0 and rep["infinite_projection_witnessed"] is True
+        # across 9 cuts in (0, 1), some cut is witnessed iff the spectrum has an infinite projection
+        for spec, synth_flags, witness_flags in self.SWEEPS:
+            _, decision = run(capsys, "classify", "--spec", spec)
+            run(capsys, "synth", "--spec", spec, *synth_flags, "--out", out)
+            witnessed = []
+            for cut in range(1, 10):
+                code, rep = run(capsys, "witness", "--in", out + "/model.json", "--gap", f"0.{cut}", *witness_flags)
+                assert code == 0 or (code == 3 and rep["kind"] == "NoGap"), rep
+                witnessed.append(code == 0 and rep["infinite_projection_witnessed"])
+            assert any(witnessed) == decision["infinite_projection"], (spec, witnessed)
 
 
 class TestMatrixFile:

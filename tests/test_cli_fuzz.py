@@ -218,3 +218,22 @@ def test_spec_file_that_is_not_an_object_exits_2(capsys, tmp_path, command, text
     path.write_text(text)
     code, doc = run_cli(capsys, [command, "--spec", str(path)])
     assert code == 2 and doc["kind"] == "ValueError"
+
+
+# Each operand below asks numpy for more than the 2**47-byte user address
+# space, so the allocation is refused on any machine, whatever its overcommit
+# setting: the (2e7)^2 and (1e7)^2 complex matrices, 8e15 bytes of samples.
+HUGE_MODEL = json.dumps({"d": 1, "N": 10**7, "A": [[0.5]]})
+OVERSIZED = {
+    "synth-depth": ["synth", "--spec", GOOD_SPEC, "--depth", str(10**7)],
+    "synth-samples": ["synth", "--spec", '{"intervals": [[0, 0], [0.3, 0.6], [1, 1]]}', "--samples", str(10**15)],
+    **{f"{command}-model": [command, "--in", "model.json", *COMMANDS[command]] for command in COMMANDS},
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_operand_is_a_dimension_mismatch(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "model.json", HUGE_MODEL)
+    code, doc = run_cli(capsys, argv)
+    assert code == 2 and doc["kind"] == "DimensionMismatch", doc
