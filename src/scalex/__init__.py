@@ -30,9 +30,8 @@ from .ktheory import (
 # lab module -> public names; numpy loads with the first of them that is used
 _LAB = {
     "operators": (
-        "PiecewiseFunction", "PropernessVerdict", "TruncatedShiftModel", "classify_properness",
-        "conjugate_random", "estimate_spectrum", "functional_calculus",
-        "infinite_projection_witness", "realize", "scaling_defect", "synthesize",
+        "PropernessVerdict", "TruncatedShiftModel", "classify_properness", "conjugate_random",
+        "estimate_spectrum", "infinite_projection_witness", "realize", "scaling_defect", "synthesize",
     ),
     "wold": ("WoldReport", "polar", "reconstruct", "wold_decompose"),
     "pairs": (

@@ -146,12 +146,12 @@ def cmd_synth(args: argparse.Namespace) -> dict:
     spectrum = ScalingSpectrum.from_json(_load_json_arg(args.spec))
     flag = Properness(args.properness)
     model = synthesize(spectrum, flag, args.depth, args.samples, seed)
+    x = realize(model)  # before any write: a matrix too large to allocate leaves no files behind
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     model_path = os.path.join(outdir, "model.json")
     matrix_path = os.path.join(outdir, "model.mat")
     matio.save_model(model_path, model)
-    x = realize(model)
     matio.save_matrix(matrix_path, x)
     estimated = estimate_spectrum(x, args.cluster_tol)
     return {

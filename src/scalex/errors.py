@@ -63,6 +63,3 @@ class IllConditioned(AdmissibilityError):
 class IndexOutOfDepth(ScalexError, IndexError):
     """A matrix-unit index beyond the truncation depth."""
 
-
-class UndefinedAt(ScalexError, ValueError):
-    """A piecewise function was evaluated outside its pieces."""

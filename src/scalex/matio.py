@@ -3,9 +3,9 @@
 Matrix files are plain text: a ``rows cols`` header line, then one line per
 row with whitespace-separated ``re,im`` fields.  Values are written with
 ``repr`` so a write/read cycle is bit-exact.  Model files are JSON with keys
-``d``, ``N`` and ``A``, where ``A`` is either a path to a matrix file
-(relative paths resolve against the model file) or inline nested arrays whose
-entries are numbers or ``[re, im]`` pairs.
+``d``, ``N`` and ``A``, where ``d`` and ``N`` are integers and ``A`` is either a
+path to a matrix file (relative paths resolve against the model file) or
+inline nested arrays whose entries are numbers or ``[re, im]`` pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteEntry
 from .operators import TruncatedShiftModel
+from .spectra import _is_numbers
 
 __all__ = ["save_matrix", "load_matrix", "save_model", "load_model"]
 
@@ -80,10 +81,11 @@ def save_model(path: str, model: TruncatedShiftModel, matrix_path: str | None = 
 
 
 def _entry_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_numbers([v]):
         return complex(v)
-    re, im = v
-    return complex(re, im)
+    if _is_numbers(v) and len(v) == 2:
+        return complex(*v)
+    raise TypeError(f"entry {v!r} is not a number or an [re, im] pair")
 
 
 def load_model(path: str) -> TruncatedShiftModel:
@@ -96,6 +98,9 @@ def load_model(path: str) -> TruncatedShiftModel:
         else:
             a = np.array([[_entry_from_json(v) for v in row] for row in a_field], dtype=complex)
             _require_finite(a, path)
-        return TruncatedShiftModel(int(obj["d"]), int(obj["N"]), a)
+        d, n = obj["d"], obj["N"]
+        if type(d) is not int or type(n) is not int:  # bool is a subclass of int
+            raise TypeError(f"d and N must be integers, got {d!r} and {n!r}")
+        return TruncatedShiftModel(d, n, a)
     except (TypeError, OverflowError, RecursionError) as exc:  # a wrongly typed, too large or too deep JSON value
         raise ValueError(f"{path}: not a model file: {exc}") from exc

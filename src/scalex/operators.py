@@ -11,7 +11,7 @@ support of X, which for a truncated model is every slot but the last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import (
     NoGap,
     NotAdmissible,
     NotScalinglike,
-    UndefinedAt,
 )
 from .spectra import Properness, ScalingSpectrum, SpectralSet, nonproper_admissible, normalize
 
@@ -30,7 +29,6 @@ __all__ = [
     "PropernessVerdict",
     "ScalingDefect",
     "WitnessReport",
-    "PiecewiseFunction",
     "opnorm",
     "require_square",
     "realize",
@@ -38,7 +36,6 @@ __all__ = [
     "estimate_spectrum",
     "synthesize",
     "classify_properness",
-    "functional_calculus",
     "infinite_projection_witness",
     "conjugate_random",
     "random_unitary",
@@ -298,34 +295,6 @@ def _classify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
 
     verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol else Properness.PROPER
     return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance), r, localized
-
-
-class PiecewiseFunction:
-    """A function defined piecewise on closed intervals; first match wins.
-
-    Pieces are (lo, hi, value) with value either a constant or a callable;
-    endpoints may be infinite.  Evaluation outside every piece raises
-    :class:`UndefinedAt`.
-    """
-
-    def __init__(self, pieces: Sequence[tuple[float, float, Callable[[float], complex] | complex]]):
-        self.pieces = [(float(lo), float(hi), v) for lo, hi, v in pieces]
-
-    def __call__(self, x: float) -> complex:
-        for lo, hi, v in self.pieces:
-            if lo <= x <= hi:
-                return v(x) if callable(v) else complex(v)
-        raise UndefinedAt(f"{x} lies in no piece of the function's definition")
-
-
-def functional_calculus(h: np.ndarray, f: Callable[[float], complex]) -> np.ndarray:
-    """Apply f to a Hermitian matrix through its eigendecomposition."""
-    h = np.asarray(h, dtype=complex)
-    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
-        raise NotAdmissible("matrix is not Hermitian within 1e-12")
-    w, q = np.linalg.eigh(h)
-    fv = np.array([f(float(lam)) for lam in w], dtype=complex)
-    return q @ (fv[:, None] * q.conj().T)
 
 
 @dataclass(frozen=True)

@@ -58,11 +58,6 @@ class WoldReport:
     residuals: dict[str, float] = field(default_factory=dict)
 
     @property
-    def q_projections(self) -> list[np.ndarray]:
-        """The shift-fiber projections V V*, formed on demand."""
-        return [v @ v.conj().T for v in self.fiber_bases]
-
-    @property
     def q_ranks(self) -> list[int]:
         # trace(V V*) = trace(V* V), the diagonal Gram block
         return [int(round(float(np.vdot(v, v).real))) for v in self.fiber_bases]

@@ -1,7 +1,11 @@
+from typing import Callable, Sequence
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from scalex.errors import NotAdmissible
+from scalex.operators import HERMITIAN_TOL
 from scalex.spectra import (
     GeneratorDescriptor,
     Properness,
@@ -53,6 +57,38 @@ def random_positive_definite(rng: np.random.Generator, dim: int, lo=0.3, hi=1.8)
     eigs = rng.uniform(lo, hi, size=dim)
     a = q @ np.diag(eigs).astype(complex) @ q.conj().T
     return (a + a.conj().T) / 2
+
+
+class UndefinedAt(ValueError):
+    """A piecewise function was evaluated outside its pieces."""
+
+
+class PiecewiseFunction:
+    """A function defined piecewise on closed intervals; first match wins.
+
+    Pieces are (lo, hi, value) with value either a constant or a callable;
+    endpoints may be infinite.  Evaluation outside every piece raises
+    :class:`UndefinedAt`.
+    """
+
+    def __init__(self, pieces: Sequence[tuple[float, float, Callable[[float], complex] | complex]]):
+        self.pieces = [(float(lo), float(hi), v) for lo, hi, v in pieces]
+
+    def __call__(self, x: float) -> complex:
+        for lo, hi, v in self.pieces:
+            if lo <= x <= hi:
+                return v(x) if callable(v) else complex(v)
+        raise UndefinedAt(f"{x} lies in no piece of the function's definition")
+
+
+def functional_calculus(h: np.ndarray, f: Callable[[float], complex]) -> np.ndarray:
+    """Apply f to a Hermitian matrix through its eigendecomposition: the reference for g(|X|)."""
+    h = np.asarray(h, dtype=complex)
+    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
+        raise NotAdmissible("matrix is not Hermitian within 1e-12")
+    w, q = np.linalg.eigh(h)
+    fv = np.array([f(float(lam)) for lam in w], dtype=complex)
+    return q @ (fv[:, None] * q.conj().T)
 
 
 @pytest.fixture

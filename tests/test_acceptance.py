@@ -161,7 +161,7 @@ def test_c3_wold_unitary_branch():
         x[:du, :du] = u
         x = conjugate_random(x, int(rng.integers(0, 2**31)))
         rep = wold_decompose(x)
-        assert rep.q_projections == []
+        assert rep.fiber_bases == []
         assert rep.kernel_rank == k
         _match_multiset(np.linalg.eigvals(rep.unitary_part), np.linalg.eigvals(u), 1e-9)
 

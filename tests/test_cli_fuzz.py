@@ -55,6 +55,25 @@ MATRIX_MANGLES = {
     "junk-after-header": lambda t: _lines(t)[0] + "\n\x00\x01\x02\n",
 }
 
+# Model files whose JSON values have the wrong type: d and N must be integers
+# (not floats, strings or booleans), each entry of A a number or an [re, im]
+# pair of numbers.  Each is refused as a ValueError.
+WRONGLY_TYPED_MODELS = {
+    "d-not-a-number": lambda t: t.replace('"d": 2', '"d": "two"'),
+    "d-null": lambda t: t.replace('"d": 2', '"d": null'),
+    "d-overflow": lambda t: t.replace('"d": 2', '"d": 1e999'),
+    "d-float": lambda t: t.replace('"d": 2', '"d": 2.9'),
+    "N-float": lambda t: t.replace('"N": 4', '"N": 4.7'),
+    "N-string": lambda t: t.replace('"N": 4', '"N": "4"'),
+    "d-N-float": lambda t: '{"d": 1.9, "N": 6.7, "A": [[0.5]]}',
+    "d-bool": lambda t: '{"d": true, "N": 6, "A": [[0.5]]}',
+    "A-null-entry": lambda t: t.replace("[0.5, 0.0]", "[null, 0.0]"),
+    "A-string-entry": lambda t: t.replace("[0.5, 0.0]", '["x", 0.0]'),
+    "A-bool-entry": lambda t: t.replace("[0.5, 0.0]", "[true, 0.0]"),
+    "A-bool-pair": lambda t: t.replace("[0.75, 0.0]", "[true, false]"),
+    "A-huge-int": lambda t: t.replace("0.5", "1" + "0" * 400),
+}
+
 MODEL_MANGLES = {
     "truncated": lambda t: t[: len(t) // 2],
     "not-an-object": lambda t: "[1, 2, 3]",
@@ -63,22 +82,17 @@ MODEL_MANGLES = {
     "extra-key": lambda t: t.replace("{", '{"note": "extra", ', 1),
     "header-lies-d": lambda t: t.replace('"d": 2', '"d": 3'),
     "header-lies-N": lambda t: t.replace('"N": 4', '"N": 1'),
-    "d-not-a-number": lambda t: t.replace('"d": 2', '"d": "two"'),
-    "d-null": lambda t: t.replace('"d": 2', '"d": null'),
     "A-number": lambda t: t.replace('"A": [[0.5, 0.0], [0.0, [0.75, 0.0]]]', '"A": 5'),
     "A-ragged": lambda t: t.replace("[0.5, 0.0]", "[0.5]"),
-    "A-null-entry": lambda t: t.replace("[0.5, 0.0]", "[null, 0.0]"),
-    "A-string-entry": lambda t: t.replace("[0.5, 0.0]", '["x", 0.0]'),
     "A-triple-entry": lambda t: t.replace("[0.75, 0.0]", "[0.75, 0.0, 1.0]"),
     "A-missing-file": lambda t: t.replace('[[0.5, 0.0], [0.0, [0.75, 0.0]]]', '"nowhere.mat"'),
     "A-nan": lambda t: t.replace("0.5", "NaN"),
     "A-inf": lambda t: t.replace("0.5", "-Infinity"),
     "A-not-positive": lambda t: t.replace("0.5", "-0.5"),
-    "d-overflow": lambda t: t.replace('"d": 2', '"d": 1e999'),
-    "A-huge-int": lambda t: t.replace("0.5", "1" + "0" * 400),
     "deep-nesting": lambda t: t.replace("[0.5, 0.0]", "[" * 10_000 + "]" * 10_000),
     "empty": lambda t: "",
     "binary-junk": lambda t: b"\x00\xff\xfe\x80junk\xc3\x28".decode("latin-1"),
+    **WRONGLY_TYPED_MODELS,
 }
 
 COMMANDS = {
@@ -118,7 +132,9 @@ def test_mangled_matrix_file(capsys, tmp_path, good_matrix, command, mangle):
 def test_mangled_model_file(capsys, tmp_path, command, mangle):
     path = tmp_path / "model.json"
     write(path, MODEL_MANGLES[mangle](GOOD_MODEL))
-    run_cli(capsys, [command, "--in", str(path), *COMMANDS[command]])
+    code, doc = run_cli(capsys, [command, "--in", str(path), *COMMANDS[command]])
+    if mangle in WRONGLY_TYPED_MODELS:
+        assert code == 2 and doc["kind"] == "ValueError", doc
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -225,8 +241,9 @@ def test_spec_file_that_is_not_an_object_exits_2(capsys, tmp_path, command, text
 # setting: the (2e7)^2 and (1e7)^2 complex matrices, 8e15 bytes of samples.
 HUGE_MODEL = json.dumps({"d": 1, "N": 10**7, "A": [[0.5]]})
 OVERSIZED = {
-    "synth-depth": ["synth", "--spec", GOOD_SPEC, "--depth", str(10**7)],
-    "synth-samples": ["synth", "--spec", '{"intervals": [[0, 0], [0.3, 0.6], [1, 1]]}', "--samples", str(10**15)],
+    "synth-depth": ["synth", "--spec", GOOD_SPEC, "--depth", str(10**7), "--out", "out"],
+    "synth-samples": ["synth", "--spec", '{"intervals": [[0, 0], [0.3, 0.6], [1, 1]]}', "--samples", str(10**15),
+                      "--out", "out"],
     **{f"{command}-model": [command, "--in", "model.json", *COMMANDS[command]] for command in COMMANDS},
 }
 
@@ -237,3 +254,6 @@ def test_oversized_operand_is_a_dimension_mismatch(capsys, tmp_path, monkeypatch
     write(tmp_path / "model.json", HUGE_MODEL)
     code, doc = run_cli(capsys, argv)
     assert code == 2 and doc["kind"] == "DimensionMismatch", doc
+    # a refused command leaves nothing behind: no output directory, no model file
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    assert (tmp_path / "model.json").read_text() == HUGE_MODEL

@@ -10,18 +10,18 @@ import pytest
 
 from scalex.errors import NoGap
 from scalex.operators import (
-    PiecewiseFunction,
     TruncatedShiftModel,
     classify_properness,
     conjugate_random,
     estimate_spectrum,
-    functional_calculus,
     infinite_projection_witness,
     opnorm,
     realize,
     synthesize,
 )
 from scalex.spectra import Properness, ScalingSpectrum
+
+from conftest import PiecewiseFunction, functional_calculus
 
 SPECTRUM = ScalingSpectrum.from_intervals([(0, 0), (0.3, 0.6), (1, 1)])
 

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NotAdmissible, UndefinedAt
+from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NotAdmissible
 from scalex.operators import (
-    PiecewiseFunction,
     _shift_basis,
     TruncatedShiftModel,
     classify_properness,
     conjugate_random,
     estimate_spectrum,
-    functional_calculus,
     infinite_projection_witness,
     opnorm,
     random_unitary,
@@ -19,7 +17,7 @@ from scalex.operators import (
 )
 from scalex.spectra import Properness, ScalingSpectrum
 
-from conftest import random_positive_definite
+from conftest import PiecewiseFunction, UndefinedAt, functional_calculus, random_positive_definite
 
 
 def model(d, n, a):

@@ -57,3 +57,14 @@ def test_import_loads_no_numpy():
     code = "import sys, scalex; scalex.hom_exists; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["PiecewiseFunction", "functional_calculus", "UndefinedAt", "q_projections"])
+def test_retired_names_are_gone(name):
+    assert name not in scalex.__all__
+    assert name not in dir(scalex)
+    assert name not in scalex.operators.__all__
+    with pytest.raises(AttributeError):
+        getattr(scalex, name)
+    for owner in (scalex.operators, scalex.errors, scalex.wold.WoldReport):
+        assert not hasattr(owner, name), owner

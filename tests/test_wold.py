@@ -60,13 +60,13 @@ class TestPolar:
 class TestWoldTrivialBranches:
     def test_scalar_unitary(self):
         r = wold_decompose(np.array([[1j]], dtype=complex))
-        assert r.q_projections == []
+        assert r.fiber_bases == []
         assert r.unitary_rank == 1 and r.kernel_rank == 0
         assert np.allclose(reconstruct(r), [[1j]])
 
     def test_scalar_zero(self):
         r = wold_decompose(np.zeros((1, 1), dtype=complex))
-        assert r.q_projections == [] and r.unitary_rank == 0 and r.kernel_rank == 1
+        assert r.fiber_bases == [] and r.unitary_rank == 0 and r.kernel_rank == 1
         assert np.allclose(reconstruct(r), [[0.0]])
 
     def test_not_scalinglike(self):
@@ -83,7 +83,8 @@ class TestWoldShiftRecursion:
         x = realize(diag_model(4, 0.5))
         r = wold_decompose(x)
         assert r.q_ranks == [1, 1, 1, 1]
-        for i, q in enumerate(r.q_projections):
+        for i, v in enumerate(r.fiber_bases):
+            q = v @ v.conj().T
             e = np.zeros((4, 4), dtype=complex)
             e[i, i] = 1.0
             assert opnorm(q - e) <= 1e-10
@@ -94,7 +95,8 @@ class TestWoldShiftRecursion:
     def test_forward_recursion_identity(self):
         x = realize(diag_model(5, 0.7))
         r = wold_decompose(x)
-        for qa, qb in zip(r.q_projections[1:], r.q_projections[2:]):
+        qs = [v @ v.conj().T for v in r.fiber_bases]
+        for qa, qb in zip(qs[1:], qs[2:]):
             assert opnorm(x @ qa @ x.conj().T - qb) <= 1e-10
 
     def test_reconstruct_matches_input(self):
@@ -124,7 +126,7 @@ class TestWoldRoundtrips:
             x[:du, :du] = u
             x = conjugate_random(x, int(rng.integers(0, 2**31)))
             r = wold_decompose(x)
-            assert r.q_projections == []
+            assert r.fiber_bases == []
             assert r.kernel_rank == k
             assert r.unitary_rank == du
             assert_multiset_close(np.linalg.eigvals(r.unitary_part), np.linalg.eigvals(u), 1e-9)
@@ -160,10 +162,10 @@ class TestWoldRoundtrips:
     def test_scaling_detection(self, rng):
         # nonempty fiber list iff the two products genuinely differ
         u = random_unitary(4, rng)
-        assert wold_decompose(u).q_projections == []
+        assert wold_decompose(u).fiber_bases == []
         x = conjugate_random(realize(diag_model(4, 0.5)), 3)
         assert scaling_defect(x).residual_norm > 0.1
-        assert len(wold_decompose(x).q_projections) > 0
+        assert len(wold_decompose(x).fiber_bases) > 0
 
 
 def dense_reference(x, tol=1e-9):
