@@ -36,13 +36,14 @@ EXIT_INADMISSIBLE = 3
 def _bind_lab() -> None:
     """Bind the numpy-backed lab as module globals, once, so wrappers put on them stay."""
     global np, matio, estimate_spectrum, infinite_projection_witness
-    global realize, synthesize, wold_decompose, _verify
+    global realize, scaling_defect, synthesize, wold_decompose, classify_properness
     if "wold_decompose" in globals():
         return
     import numpy as np
 
     from . import matio
-    from .operators import _verify, estimate_spectrum, infinite_projection_witness, realize, synthesize
+    from .operators import classify_properness, estimate_spectrum, infinite_projection_witness
+    from .operators import realize, scaling_defect, synthesize
     from .wold import wold_decompose
 
 
@@ -179,7 +180,8 @@ def cmd_wold(args: argparse.Namespace) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> dict:
     x, fiber_dim = _load_operand(getattr(args, "in"))
-    verdict, defect = _verify(x, args.tol, args.gap_tol, fiber_dim)
+    verdict = classify_properness(x, args.tol, args.gap_tol)
+    defect = scaling_defect(x, fiber_dim)
     return {
         **asdict(verdict),
         "verdict": verdict.verdict.value,
@@ -189,8 +191,8 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 
 
 def cmd_witness(args: argparse.Namespace) -> dict:
-    x, fiber_dim = _load_operand(getattr(args, "in"))
-    u, report = infinite_projection_witness(x, args.gap, args.tol, args.cluster_tol, fiber_dim)
+    x, _ = _load_operand(getattr(args, "in"))
+    u, report = infinite_projection_witness(x, args.gap, args.tol, args.cluster_tol)
     out = {
         **asdict(report),
         "infinite_projection_witnessed": bool(report.dominated and report.norm_difference >= 0.5),

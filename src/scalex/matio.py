@@ -92,15 +92,16 @@ def load_model(path: str) -> TruncatedShiftModel:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        a_field = obj["A"]
+        d, n, a_field = obj["d"], obj["N"], obj["A"]
+        if type(d) is not int or type(n) is not int:  # bool is a subclass of int
+            raise TypeError(f"d and N must be integers, got {d!r} and {n!r}")
         if isinstance(a_field, str):
             a = load_matrix(os.path.join(os.path.dirname(os.path.abspath(path)), a_field))
         else:
             a = np.array([[_entry_from_json(v) for v in row] for row in a_field], dtype=complex)
             _require_finite(a, path)
-        d, n = obj["d"], obj["N"]
-        if type(d) is not int or type(n) is not int:  # bool is a subclass of int
-            raise TypeError(f"d and N must be integers, got {d!r} and {n!r}")
-        return TruncatedShiftModel(d, n, a)
     except (TypeError, OverflowError, RecursionError) as exc:  # a wrongly typed, too large or too deep JSON value
         raise ValueError(f"{path}: not a model file: {exc}") from exc
+    if a.shape != (d, d):
+        raise DimensionMismatch(f"{path}: A must be {d}x{d}, got shape {a.shape}")
+    return TruncatedShiftModel(d, n, a)

@@ -134,7 +134,7 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
 
 def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
     """Values s clustered into intervals: values closer than cluster_tol coalesce."""
-    if cluster_tol <= 0:
+    if not cluster_tol > 0:  # NaN is not
         raise NotAdmissible("cluster_tol must be > 0")
     values = np.sort(s).tolist()
     intervals = []
@@ -204,22 +204,19 @@ class PropernessVerdict:
     projection_distance: float
 
 
-def _require_scalinglike(x: np.ndarray, tol: float, fiber_dim: int | None, support: np.ndarray):
-    """The residual R and its boundary flag; :class:`NotScalinglike` unless R is small or boundary.
+def _require_scalinglike(x: np.ndarray, s: np.ndarray, support: np.ndarray, tol: float) -> np.ndarray:
+    """support R for the scaling residual R; :class:`NotScalinglike` unless its norm is <= tol.
 
-    ``support`` holds the right-support rows vh[s > tol] of the caller's SVD.
-    R is boundary when its range avoids the right support, ||support R|| <= tol;
-    this test is basis-free, so it survives unitary conjugation.  With a fiber
-    dimension the slot flag, which says the same for a truncated model, is
-    tried first.  The spectral norm is taken only when every test fails.
+    ``s`` and ``support`` are the singular values above tol and their right
+    singular vectors vh[s > tol] from the caller's SVD X = L S V*.  Since
+    X*X = V S^2 V*, V* R = (S^2 - I) V* X, so the rows on the right support
+    come without forming R.  R is boundary when its range avoids the right
+    support; this test is basis-free, so it survives unitary conjugation.
     """
-    r = _defect(x)
-    ok = _boundary_localized(r, fiber_dim)
-    if not (np.linalg.norm(r) <= tol or ok or _opnorm_at_most(support @ r, tol)):
-        norm = opnorm(r)
-        if norm > tol:
-            raise NotScalinglike(f"scaling identity fails by {norm:.3e} away from the boundary")
-    return r, ok
+    block = (s**2 - 1)[:, None] * (support @ x)
+    if not _opnorm_at_most(block, tol):
+        raise NotScalinglike(f"scaling identity fails by {opnorm(block):.3e} away from the boundary")
+    return block
 
 
 def _support_difference(support: np.ndarray, mask: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -250,12 +247,7 @@ def _shift_basis(coker: np.ndarray, ker: np.ndarray) -> np.ndarray:
     return ((c + k) / (2 * np.cos(half)) + (c - k) / (2 * np.sin(half))) / np.sqrt(2)
 
 
-def classify_properness(
-    x: np.ndarray,
-    tol: float = 1e-8,
-    gap_tol: float = 0.1,
-    fiber_dim: int | None = None,
-) -> PropernessVerdict:
+def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1) -> PropernessVerdict:
     """Decide proper vs non-proper for a (truncated) scaling-like matrix.
 
     Non-proper needs spectral gaps just above 0 and around 1 (the compactness
@@ -264,20 +256,10 @@ def classify_properness(
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
     One SVD of X serves every test.
     """
-    return _classify(_operand(x), tol, gap_tol, fiber_dim)[0]
-
-
-def _verify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
-    """(classify_properness, scaling_defect) of one X, forming the residual R once."""
-    verdict, r, localized = _classify(_operand(x), tol, gap_tol, fiber_dim)
-    return verdict, ScalingDefect(opnorm(r), localized)
-
-
-def _classify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
-    """The verdict on an operand from :func:`_operand`, with the gate's residual and flag."""
+    x = _operand(x)
     u, s, vh = np.linalg.svd(x)
     rank = np.count_nonzero(s > tol)  # s is sorted, so the support is a prefix
-    r, localized = _require_scalinglike(x, tol, fiber_dim, vh[:rank])
+    _require_scalinglike(x, s[:rank], vh[:rank], tol)
     if not _shift_basis(u[:, rank:], vh[rank:].conj().T).shape[1]:
         raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
@@ -294,7 +276,7 @@ def _classify(x: np.ndarray, tol: float, gap_tol: float, fiber_dim: int | None):
     distance = float(np.max(np.abs(w), initial=0.0))
 
     verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol else Properness.PROPER
-    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance), r, localized
+    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance)
 
 
 @dataclass(frozen=True)
@@ -310,7 +292,6 @@ def infinite_projection_witness(
     c: float,
     tol: float = 1e-9,
     cluster_tol: float = 1e-8,
-    fiber_dim: int | None = None,
 ) -> tuple[np.ndarray, WitnessReport]:
     """Build the partial isometry witnessing an infinite projection.
 
@@ -326,7 +307,7 @@ def infinite_projection_witness(
         raise NoGap(f"{c} lies in the estimated spectrum")
     # s is sorted, so the support and the pairs above c are prefixes
     rank, k = np.count_nonzero(s > tol), np.count_nonzero(s > c)
-    _require_scalinglike(x, tol, fiber_dim, vh[:rank])
+    _require_scalinglike(x, s[:rank], vh[:rank], tol)
 
     # X = L S V* and g(|X|) = V g(S) V*, so U keeps the singular pairs above c;
     # on the right support U*U is the 0/1 diagonal of those pairs, so its

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import opnorm, _operand, _require_scalinglike, _shift_basis
+from .operators import opnorm, _defect, _operand, _require_scalinglike, _shift_basis
 
 __all__ = ["WoldReport", "polar", "wold_decompose", "reconstruct"]
 
@@ -106,7 +106,8 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
     # one SVD serves the scaling gate, the shift basis and the kernel basis
     left, s, right = np.linalg.svd(x)
     rank = np.count_nonzero(s > tol)  # s is sorted, so the support is a prefix
-    defect_norm = opnorm(_require_scalinglike(x, tol, None, right[:rank])[0])
+    _require_scalinglike(x, s[:rank], right[:rank], tol)
+    defect_norm = opnorm(_defect(x))
     ker = right[rank:].conj().T
     q0_basis = _shift_basis(left[:, rank:], ker)
 

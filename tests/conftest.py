@@ -59,6 +59,16 @@ def random_positive_definite(rng: np.random.Generator, dim: int, lo=0.3, hi=1.8)
     return (a + a.conj().T) / 2
 
 
+def cyclic_shift(a: float) -> np.ndarray:
+    """e0 -> e1 -> e2 -> a e0: for a != 1 the scaling identity fails on the whole support.
+
+    It is the truncated model of weight 1 on one-dimensional slots, with the
+    boundary slot fed back to the first with weight a."""
+    x = np.eye(3, k=-1)
+    x[0, 2] = a
+    return x
+
+
 class UndefinedAt(ValueError):
     """A piecewise function was evaluated outside its pieces."""
 

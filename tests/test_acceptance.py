@@ -189,7 +189,7 @@ def test_c5_properness_classifier():
         ((0.5, 1.0), Properness.PROPER),
     ]:
         x = realize(TruncatedShiftModel(len(weights), 6, np.diag(weights).astype(complex)))
-        got = classify_properness(x, fiber_dim=len(weights))
+        got = classify_properness(x)
         assert got.verdict is want, weights
 
     rng = np.random.default_rng(505)
@@ -198,7 +198,7 @@ def test_c5_properness_classifier():
         flag = Properness.PROPER if rng.uniform() < 0.5 else Properness.NON_PROPER
         seed = int(rng.integers(0, 2**31))
         model = synthesize(s, flag, depth=6, samples_per_interval=3, seed=seed)
-        verdict = classify_properness(realize(model), fiber_dim=model.fiber_dim)
+        verdict = classify_properness(realize(model))
         assert verdict.verdict is flag, (s, flag, seed)
 
 
@@ -217,7 +217,7 @@ def test_c6_witness():
         assert has_infinite_projection(s)
         model = synthesize(s, Properness.PROPER, depth=6, samples_per_interval=3, seed=1)
         x = realize(model)
-        _, rep = infinite_projection_witness(x, c, fiber_dim=model.fiber_dim)
+        _, rep = infinite_projection_witness(x, c)
         assert rep.projection_defect <= 1e-8
         assert rep.dominated
         assert rep.norm_difference >= 0.5
@@ -238,7 +238,7 @@ def test_c6_witness():
         for c in (0.25, 0.5, 0.75):
             assert est.contains(c)
             with pytest.raises(NoGap):
-                infinite_projection_witness(x, c, cluster_tol=0.05, fiber_dim=len(weights))
+                infinite_projection_witness(x, c, cluster_tol=0.05)
 
     assert time.perf_counter() - start < 2.0
 

@@ -74,6 +74,16 @@ WRONGLY_TYPED_MODELS = {
     "A-huge-int": lambda t: t.replace("0.5", "1" + "0" * 400),
 }
 
+# Model files whose weight block A is not d x d, inline or in the matrix file
+# it names (a 1 x 2 one sits beside every mangled model).  Each is refused as
+# a DimensionMismatch, as the same shape in a matrix file is.
+MISSHAPEN_A_MODELS = {
+    "A-empty": lambda t: '{"d": 1, "N": 6, "A": []}',
+    "A-smaller-than-d": lambda t: '{"d": 2, "N": 6, "A": [[0.5]]}',
+    "A-one-by-two": lambda t: '{"d": 1, "N": 6, "A": [[0.5, 0.1]]}',
+    "A-file-one-by-two": lambda t: '{"d": 1, "N": 6, "A": "row.mat"}',
+}
+
 MODEL_MANGLES = {
     "truncated": lambda t: t[: len(t) // 2],
     "not-an-object": lambda t: "[1, 2, 3]",
@@ -93,6 +103,7 @@ MODEL_MANGLES = {
     "empty": lambda t: "",
     "binary-junk": lambda t: b"\x00\xff\xfe\x80junk\xc3\x28".decode("latin-1"),
     **WRONGLY_TYPED_MODELS,
+    **MISSHAPEN_A_MODELS,
 }
 
 COMMANDS = {
@@ -132,9 +143,12 @@ def test_mangled_matrix_file(capsys, tmp_path, good_matrix, command, mangle):
 def test_mangled_model_file(capsys, tmp_path, command, mangle):
     path = tmp_path / "model.json"
     write(path, MODEL_MANGLES[mangle](GOOD_MODEL))
+    write(tmp_path / "row.mat", "1 2\n0.5,0.0 0.1,0.0\n")
     code, doc = run_cli(capsys, [command, "--in", str(path), *COMMANDS[command]])
     if mangle in WRONGLY_TYPED_MODELS:
         assert code == 2 and doc["kind"] == "ValueError", doc
+    if mangle in MISSHAPEN_A_MODELS:
+        assert code == 2 and doc["kind"] == "DimensionMismatch", doc
 
 
 @pytest.mark.parametrize("command", COMMANDS)

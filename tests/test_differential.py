@@ -87,13 +87,13 @@ def test_lab_agrees_with_the_decision_engine(case):
     a = conjugate_random(m.A, seed)
     x = realize(TruncatedShiftModel(m.fiber_dim, m.depth, (a + a.conj().T) / 2))
 
-    assert classify_properness(x, fiber_dim=m.fiber_dim).verdict is flag
+    assert classify_properness(x).verdict is flag
 
     # a unitary on the whole space moves no singular value off the planted set
     for lo, hi in estimate_spectrum(conjugate_random(x, seed + 1), 1e-8).intervals:
         assert distance_to(spectrum, lo) <= 1e-8 and distance_to(spectrum, hi) <= 1e-8
 
-    assert_witnesses_follow_the_engine(x, spectrum, values, m.fiber_dim)
+    assert_witnesses_follow_the_engine(x, spectrum, values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,10 +105,10 @@ def test_whole_space_conjugation_needs_no_fiber_dimension(case):
     x = conjugate_random(realize(m), seed)
 
     assert classify_properness(x).verdict is flag
-    assert_witnesses_follow_the_engine(x, spectrum, np.diag(m.A).real.tolist(), None)
+    assert_witnesses_follow_the_engine(x, spectrum, np.diag(m.A).real.tolist())
 
 
-def assert_witnesses_follow_the_engine(x, spectrum, values, fiber_dim):
+def assert_witnesses_follow_the_engine(x, spectrum, values):
     """A witness at every gap of the estimate in (0, 1), and such gaps iff the
     planted spectrum has an infinite projection."""
     # clustered at the planted sample spacing, the estimate leaves a gap in (0, 1)
@@ -118,14 +118,14 @@ def assert_witnesses_follow_the_engine(x, spectrum, values, fiber_dim):
     witnessed = []
     for hi, lo in gaps(estimate_spectrum(x, cluster_tol)):
         c = (hi + lo) / 2
-        _, rep = infinite_projection_witness(x, c, cluster_tol=cluster_tol, fiber_dim=fiber_dim)
+        _, rep = infinite_projection_witness(x, c, cluster_tol=cluster_tol)
         witnessed.append(rep.projection_defect <= 1e-8 and rep.dominated and rep.norm_difference >= 0.5)
     assert all(witnessed)
     assert bool(witnessed) is has_infinite_projection(spectrum)
     if not witnessed:
         for c in (0.25, 0.5, 0.75):
             try:
-                infinite_projection_witness(x, c, cluster_tol=cluster_tol, fiber_dim=fiber_dim)
+                infinite_projection_witness(x, c, cluster_tol=cluster_tol)
             except NoGap:
                 continue
             raise AssertionError(f"a witness at {c} for a spectrum that covers [0, 1]")

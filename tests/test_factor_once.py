@@ -63,33 +63,31 @@ def reference_verdict(x, tol=1e-8, gap_tol=0.1):
     return (Properness.NON_PROPER if nonproper else Properness.PROPER, gap_at_0, gap_at_1, distance)
 
 
-def operand(flag, seed, with_fiber_dim):
-    """A synthesized model behind a random unitary, and the fiber dimension to pass.
+def operand(flag, seed, per_slot):
+    """A synthesized model behind a random unitary.
 
-    With the fiber dimension the unitary acts alike on every fiber slot (it
-    conjugates A), so the last slot stays the boundary; without it the whole
-    space is conjugated."""
+    Per slot the unitary acts alike on every fiber slot (it conjugates A), so
+    the last slot stays the boundary; otherwise the whole space is conjugated."""
     m = synthesize(SPECTRUM, flag, depth=5, samples_per_interval=4, seed=seed)
-    if with_fiber_dim:
+    if per_slot:
         a = conjugate_random(m.A, seed)
-        m = TruncatedShiftModel(m.fiber_dim, m.depth, (a + a.conj().T) / 2)
-        return realize(m), m.fiber_dim
-    return conjugate_random(realize(m), seed), None
+        return realize(TruncatedShiftModel(m.fiber_dim, m.depth, (a + a.conj().T) / 2))
+    return conjugate_random(realize(m), seed)
 
 
 CASES = [
-    pytest.param(flag, seed, with_fd, id=f"{flag.value}-{seed}-{'fiber' if with_fd else 'flat'}")
+    pytest.param(flag, seed, per_slot, id=f"{flag.value}-{seed}-{'fiber' if per_slot else 'flat'}")
     for flag in Properness
     for seed in (1, 2)
-    for with_fd in (True, False)
+    for per_slot in (True, False)
 ]
 
 
-@pytest.mark.parametrize("flag, seed, with_fiber_dim", CASES)
+@pytest.mark.parametrize("flag, seed, per_slot", CASES)
 @pytest.mark.parametrize("c", [0.2, 0.8])
-def test_witness_matches_reference_at_a_gap_point(flag, seed, with_fiber_dim, c):
-    x, fiber_dim = operand(flag, seed, with_fiber_dim)
-    u, rep = infinite_projection_witness(x, c, fiber_dim=fiber_dim)
+def test_witness_matches_reference_at_a_gap_point(flag, seed, per_slot, c):
+    x = operand(flag, seed, per_slot)
+    u, rep = infinite_projection_witness(x, c)
     want_u, want = reference_witness(x, c)
     assert opnorm(u - want_u) <= 1e-10
     assert rep.gap_point == want[0] and rep.dominated is want[2]
@@ -98,20 +96,20 @@ def test_witness_matches_reference_at_a_gap_point(flag, seed, with_fiber_dim, c)
     assert rep.dominated and rep.norm_difference >= 0.5
 
 
-@pytest.mark.parametrize("flag, seed, with_fiber_dim", CASES)
-def test_witness_refuses_where_the_reference_does(flag, seed, with_fiber_dim):
-    x, fiber_dim = operand(flag, seed, with_fiber_dim)
+@pytest.mark.parametrize("flag, seed, per_slot", CASES)
+def test_witness_refuses_where_the_reference_does(flag, seed, per_slot):
+    x = operand(flag, seed, per_slot)
     assert estimate_spectrum(x, 0.35).contains(0.45)
     with pytest.raises(NoGap):
         reference_witness(x, 0.45, cluster_tol=0.35)
     with pytest.raises(NoGap):
-        infinite_projection_witness(x, 0.45, cluster_tol=0.35, fiber_dim=fiber_dim)
+        infinite_projection_witness(x, 0.45, cluster_tol=0.35)
 
 
-@pytest.mark.parametrize("flag, seed, with_fiber_dim", CASES)
-def test_verdict_matches_reference(flag, seed, with_fiber_dim):
-    x, fiber_dim = operand(flag, seed, with_fiber_dim)
-    got = classify_properness(x, fiber_dim=fiber_dim)
+@pytest.mark.parametrize("flag, seed, per_slot", CASES)
+def test_verdict_matches_reference(flag, seed, per_slot):
+    x = operand(flag, seed, per_slot)
+    got = classify_properness(x)
     want = reference_verdict(x)
     assert (got.verdict, got.gap_at_0, got.gap_at_1) == want[:3]
     assert abs(got.projection_distance - want[3]) <= 1e-10
@@ -137,20 +135,20 @@ def factorizations(monkeypatch, call, *args, **kwargs):
     return calls
 
 
-@pytest.mark.parametrize("with_fiber_dim", [True, False], ids=["fiber", "flat"])
-def test_witness_takes_one_svd_and_no_eigh_or_spectral_norm(monkeypatch, with_fiber_dim):
-    x, fiber_dim = operand(Properness.PROPER, 3, with_fiber_dim)
+@pytest.mark.parametrize("per_slot", [True, False], ids=["fiber", "flat"])
+def test_witness_takes_one_svd_and_no_eigh_or_spectral_norm(monkeypatch, per_slot):
+    x = operand(Properness.PROPER, 3, per_slot)
     n = x.shape[0]
-    calls = factorizations(monkeypatch, infinite_projection_witness, x, 0.8, fiber_dim=fiber_dim)
+    calls = factorizations(monkeypatch, infinite_projection_witness, x, 0.8)
     assert [c for c in calls if c[0] == "svd"] == [("svd", (n, n))]
     assert not [c for c in calls if c[0] in ("eigh", "norm")]
 
 
-@pytest.mark.parametrize("with_fiber_dim", [True, False], ids=["fiber", "flat"])
-def test_verdict_takes_one_square_svd_and_no_spectral_norm(monkeypatch, with_fiber_dim):
-    # without a fiber dimension the scaling gate reads the right support from this SVD
-    x, fiber_dim = operand(Properness.NON_PROPER, 3, with_fiber_dim)
+@pytest.mark.parametrize("per_slot", [True, False], ids=["fiber", "flat"])
+def test_verdict_takes_one_square_svd_and_no_spectral_norm(monkeypatch, per_slot):
+    # the scaling gate reads the right support from this SVD
+    x = operand(Properness.NON_PROPER, 3, per_slot)
     n = x.shape[0]
-    calls = factorizations(monkeypatch, classify_properness, x, fiber_dim=fiber_dim)
+    calls = factorizations(monkeypatch, classify_properness, x)
     assert [c for c in calls if c == ("svd", (n, n))] == [("svd", (n, n))]
     assert not [c for c in calls if c[0] in ("eigh", "norm")]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NotAdmissible
+from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NotAdmissible, NotScalinglike
 from scalex.operators import (
+    _require_scalinglike,
     _shift_basis,
     TruncatedShiftModel,
     classify_properness,
@@ -17,7 +18,8 @@ from scalex.operators import (
 )
 from scalex.spectra import Properness, ScalingSpectrum
 
-from conftest import PiecewiseFunction, UndefinedAt, functional_calculus, random_positive_definite
+from conftest import PiecewiseFunction, UndefinedAt, cyclic_shift, functional_calculus, random_positive_definite
+from test_factor_once import operand
 
 
 def model(d, n, a):
@@ -134,6 +136,11 @@ class TestEstimateSpectrum:
         est = estimate_spectrum(realize(diag_model(4, 0.5)), 0.6)
         assert len(est.intervals) == 1
 
+    @pytest.mark.parametrize("cluster_tol", [0.0, -1e-3, float("nan")], ids=["zero", "negative", "nan"])
+    def test_cluster_tol_must_be_positive(self, cluster_tol):
+        with pytest.raises(NotAdmissible):
+            estimate_spectrum(realize(diag_model(4, 0.5)), cluster_tol)
+
 
 class TestSynthesize:
     def test_bare_spectrum_gives_pure_shift(self):
@@ -183,36 +190,36 @@ class TestSynthesize:
 
 class TestClassifyProperness:
     def test_pure_shift_is_proper(self):
-        v = classify_properness(realize(diag_model(6, 1.0)), fiber_dim=1)
+        v = classify_properness(realize(diag_model(6, 1.0)))
         assert v.verdict is Properness.PROPER
         assert v.projection_distance >= 0.9
 
     def test_weight_half_is_nonproper(self):
-        v = classify_properness(realize(diag_model(6, 0.5)), fiber_dim=1)
+        v = classify_properness(realize(diag_model(6, 0.5)))
         assert v.verdict is Properness.NON_PROPER
         assert v.gap_at_0 and v.gap_at_1
         assert v.projection_distance <= 1e-8
 
     def test_eigenvalue_one_inside_block_forces_proper(self):
-        v = classify_properness(realize(diag_model(6, 0.5, 1.0)), fiber_dim=2)
+        v = classify_properness(realize(diag_model(6, 0.5, 1.0)))
         assert v.verdict is Properness.PROPER
         assert v.projection_distance >= 0.9
 
     def test_no_gap_at_one_means_proper(self):
         # weights creep up to 1, so the spectrum minus {0,1} is not compact
-        v = classify_properness(realize(diag_model(6, 0.5, 0.93, 0.96, 0.99)), fiber_dim=4)
+        v = classify_properness(realize(diag_model(6, 0.5, 0.93, 0.96, 0.99)))
         assert not v.gap_at_1
         assert v.verdict is Properness.PROPER
 
     def test_ill_conditioned_band(self):
         with pytest.raises(IllConditioned):
-            classify_properness(realize(diag_model(6, 1.0 + 1.5e-8)), tol=1e-8, fiber_dim=1)
+            classify_properness(realize(diag_model(6, 1.0 + 1.5e-8)), tol=1e-8)
 
     def test_inverts_synthesize_flag(self):
         s = spectrum((0, 0), (0.3, 0.6), (1, 1))
         for flag in (Properness.PROPER, Properness.NON_PROPER):
             m = synthesize(s, flag, 6, 4, seed=1)
-            v = classify_properness(realize(m), fiber_dim=m.fiber_dim)
+            v = classify_properness(realize(m))
             assert v.verdict is flag
 
     @pytest.mark.parametrize(
@@ -235,8 +242,33 @@ class TestClassifyProperness:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, *rest, **kw: calls.append(a.shape) or svd(a, *rest, **kw))
-        classify_properness(realize(diag_model(6, 0.5, 0.7)), fiber_dim=2)
+        classify_properness(realize(diag_model(6, 0.5, 0.7)))
         assert [shape for shape in calls if shape == (12, 12)] == [(12, 12)]
+
+
+class TestScalingGate:
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    @pytest.mark.parametrize(
+        "call", [classify_properness, lambda x: infinite_projection_witness(x, 0.7)], ids=["verdict", "witness"]
+    )
+    def test_cyclic_shift_is_refused(self, call, a):
+        # the identity fails by |a^2 - 1| on the support, whatever the slot structure
+        with pytest.raises(NotScalinglike):
+            call(cyclic_shift(a))
+
+    @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
+    @pytest.mark.parametrize("which", ["real", "fiber", "flat"])
+    def test_block_is_the_residual_on_the_right_support(self, flag, which):
+        if which == "real":
+            x = realize(synthesize(spectrum((0, 0), (0.3, 0.6), (1, 1)), flag, 5, 4, seed=1))
+        else:
+            x = operand(flag, 1, which == "fiber")
+        for op in (x, cyclic_shift(0.5), cyclic_shift(2.0)):
+            _, s, vh = np.linalg.svd(op)
+            rank = np.count_nonzero(s > 1e-8)
+            block = _require_scalinglike(op, s[:rank], vh[:rank], np.inf)  # an infinite tol refuses nothing
+            want = vh[:rank] @ ((op.conj().T @ op) @ op - op)
+            assert np.abs(block - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -292,14 +324,14 @@ class TestFunctionalCalculus:
 class TestWitness:
     def test_weight_above_gap(self):
         x = realize(diag_model(6, 0.75))
-        u, rep = infinite_projection_witness(x, 0.5, fiber_dim=1)
+        u, rep = infinite_projection_witness(x, 0.5)
         assert rep.projection_defect <= 1e-10
         assert rep.dominated
         assert rep.norm_difference >= 0.9
 
     def test_pure_shift_witness_is_the_shift(self):
         x = realize(diag_model(6, 1.0))
-        u, rep = infinite_projection_witness(x, 0.5, fiber_dim=1)
+        u, rep = infinite_projection_witness(x, 0.5)
         assert opnorm(u - x) <= 1e-12
         assert rep.norm_difference >= 0.9
 
@@ -307,11 +339,11 @@ class TestWitness:
         weights = np.linspace(0.025, 1.0, 40)
         x = realize(diag_model(5, *weights))
         with pytest.raises(NoGap):
-            infinite_projection_witness(x, 0.5, cluster_tol=0.05, fiber_dim=40)
+            infinite_projection_witness(x, 0.5, cluster_tol=0.05)
 
     def test_gap_point_outside_unit_interval(self):
         with pytest.raises(NotAdmissible):
-            infinite_projection_witness(realize(diag_model(6, 0.75)), 1.5, fiber_dim=1)
+            infinite_projection_witness(realize(diag_model(6, 0.75)), 1.5)
 
 
 class TestConjugateRandom:

@@ -15,7 +15,6 @@ import pytest
 from scalex import matio
 from scalex.cli import main
 from scalex.operators import (
-    _verify,
     classify_properness,
     estimate_spectrum,
     infinite_projection_witness,
@@ -30,9 +29,13 @@ SPECTRUM = ScalingSpectrum.from_intervals([(0, 0), (0.2, 0.4), (0.6, 0.8), (1, 1
 TOL = 1e-10
 
 
+def synthesized(flag, seed):
+    return synthesize(SPECTRUM, flag, depth=5, samples_per_interval=6, seed=seed)
+
+
 def model_pair(flag, seed):
     """(X, D X D*, D, fiber dimension) for a synthesized model and random phases D."""
-    m = synthesize(SPECTRUM, flag, depth=5, samples_per_interval=6, seed=seed)
+    m = synthesized(flag, seed)
     x = realize(m)
     d = np.exp(2j * np.pi * np.random.default_rng(seed).random(len(x)))
     return x, d[:, None] * x * d.conj()[None, :], d, m.fiber_dim
@@ -63,7 +66,7 @@ def test_reports_match_the_complex_path(flag, seed, with_fd):
     fiber_dim = fiber_dim if with_fd else None
     assert np.iscomplexobj(xc) and np.abs(xc.imag).max() > 0.1
 
-    got, want = classify_properness(x, fiber_dim=fiber_dim), classify_properness(xc, fiber_dim=fiber_dim)
+    got, want = classify_properness(x), classify_properness(xc)
     assert (got.verdict, got.gap_at_0, got.gap_at_1) == (want.verdict, want.gap_at_0, want.gap_at_1)
     close(got.projection_distance, want.projection_distance)
     if with_fd:
@@ -75,8 +78,8 @@ def test_reports_match_the_complex_path(flag, seed, with_fd):
 
     same_set(estimate_spectrum(x, 0.1), estimate_spectrum(xc, 0.1))
 
-    u, rep = infinite_projection_witness(x, 0.5, fiber_dim=fiber_dim)
-    uc, repc = infinite_projection_witness(xc, 0.5, fiber_dim=fiber_dim)
+    u, rep = infinite_projection_witness(x, 0.5)
+    uc, repc = infinite_projection_witness(xc, 0.5)
     assert u.dtype == np.complex128
     assert np.abs(d[:, None] * u * d.conj()[None, :] - uc).max() <= TOL
     assert (rep.gap_point, rep.dominated) == (repc.gap_point, repc.dominated)
@@ -85,12 +88,19 @@ def test_reports_match_the_complex_path(flag, seed, with_fd):
 
 
 @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
-def test_verify_shares_the_residual_with_scaling_defect(flag):
+def test_verify_shares_the_residual_with_scaling_defect(capsys, tmp_path, flag):
+    # a model file reports the slot flag; a matrix file, which has no slots, reports None
     x, xc, _, fiber_dim = model_pair(flag, 3)
-    for op in (x, xc):
-        verdict, defect = _verify(op, 1e-8, 0.1, fiber_dim)
-        assert verdict == classify_properness(op, fiber_dim=fiber_dim)
-        assert defect == scaling_defect(op, fiber_dim)
+    matio.save_model(str(tmp_path / "model.json"), synthesized(flag, 3))
+    matio.save_matrix(str(tmp_path / "x.mat"), x)
+    matio.save_matrix(str(tmp_path / "xc.mat"), xc)
+    for name, op, fd in (("model.json", x, fiber_dim), ("x.mat", x, None), ("xc.mat", xc, None)):
+        assert main(["verify", "--in", str(tmp_path / name)]) == 0, name
+        verify = json.loads(capsys.readouterr().out)
+        verdict, defect = classify_properness(op), scaling_defect(op, fd)
+        assert verify["verdict"] == verdict.verdict.value
+        assert (verify["scaling_residual"], verify["boundary_localized"]) == tuple(defect), name
+        assert defect.boundary_localized is (True if fd else None)
 
 
 def factorizations(monkeypatch, call, *args, **kwargs):
@@ -124,7 +134,7 @@ CALLS = [
 @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
 def test_real_operands_factor_in_float64_as_often(monkeypatch, fn, args, flag):
     x, xc, _, fiber_dim = model_pair(flag, 4)
-    kwargs = {} if fn is estimate_spectrum else {"fiber_dim": fiber_dim}
+    kwargs = {"fiber_dim": fiber_dim} if fn is scaling_defect else {}
     real = factorizations(monkeypatch, fn, x, *args, **kwargs)
     cplx = factorizations(monkeypatch, fn, xc, *args, **kwargs)
     assert real and {c[2] for c in real} == {np.dtype(float)}
@@ -133,12 +143,12 @@ def test_real_operands_factor_in_float64_as_often(monkeypatch, fn, args, flag):
 
 
 def test_real_operands_keep_the_factorization_counts(monkeypatch):
-    x, _, _, fiber_dim = model_pair(Properness.NON_PROPER, 5)
+    x = model_pair(Properness.NON_PROPER, 5)[0]
     n = x.shape[0]
-    calls = factorizations(monkeypatch, infinite_projection_witness, x, 0.5, fiber_dim=fiber_dim)
+    calls = factorizations(monkeypatch, infinite_projection_witness, x, 0.5)
     assert [c[:2] for c in calls if c[0] == "svd"] == [("svd", (n, n))]
     assert not [c for c in calls if c[0] in ("eigh", "norm")]
-    calls = factorizations(monkeypatch, classify_properness, x, fiber_dim=fiber_dim)
+    calls = factorizations(monkeypatch, classify_properness, x)
     assert [c[:2] for c in calls if c[:2] == ("svd", (n, n))] == [("svd", (n, n))]
     assert not [c for c in calls if c[0] in ("eigh", "norm")]
 
@@ -174,13 +184,13 @@ def test_a_tiny_imaginary_part_keeps_the_complex_path(monkeypatch):
     x, _, _, fiber_dim = model_pair(Properness.PROPER, 6)
     xt = x.copy()
     xt[fiber_dim, 0] += 1e-300j
-    calls = factorizations(monkeypatch, classify_properness, xt, fiber_dim=fiber_dim)
+    calls = factorizations(monkeypatch, classify_properness, xt)
     assert {c[2] for c in calls} == {np.dtype(complex)}
-    got, want = classify_properness(xt, fiber_dim=fiber_dim), classify_properness(x, fiber_dim=fiber_dim)
+    got, want = classify_properness(xt), classify_properness(x)
     assert (got.verdict, got.gap_at_0, got.gap_at_1) == (want.verdict, want.gap_at_0, want.gap_at_1)
     close(got.projection_distance, want.projection_distance)
-    u, _ = infinite_projection_witness(xt, 0.5, fiber_dim=fiber_dim)
-    assert np.abs(u - infinite_projection_witness(x, 0.5, fiber_dim=fiber_dim)[0]).max() <= TOL
+    u, _ = infinite_projection_witness(xt, 0.5)
+    assert np.abs(u - infinite_projection_witness(x, 0.5)[0]).max() <= TOL
 
 
 @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
@@ -208,7 +218,7 @@ def test_cli_reports_match_the_complex_path(capsys, tmp_path, flag):
     for rep in (synth["estimated_spectrum"], estimate):
         same_set(SpectralSet.from_json(rep), want)
 
-    verdict = classify_properness(xc, 1e-8, 0.1, model.fiber_dim)
+    verdict = classify_properness(xc, 1e-8, 0.1)
     defect = scaling_defect(xc, model.fiber_dim)
     assert verify["verdict"] == verdict.verdict.value == flag.value
     assert (verify["gap_at_0"], verify["gap_at_1"]) == (verdict.gap_at_0, verdict.gap_at_1)
@@ -216,10 +226,10 @@ def test_cli_reports_match_the_complex_path(capsys, tmp_path, flag):
     close(verify["projection_distance"], verdict.projection_distance)
     close(verify["scaling_residual"], defect.residual_norm)
 
-    uc, rep = infinite_projection_witness(xc, 0.5, 1e-9, 1e-8, model.fiber_dim)
+    uc, rep = infinite_projection_witness(xc, 0.5, 1e-9, 1e-8)
     assert witness["dominated"] is rep.dominated
     close(witness["projection_defect"], rep.projection_defect)
     close(witness["norm_difference"], rep.norm_difference)
     u = matio.load_matrix(witness["witness_path"])
-    assert np.array_equal(u, infinite_projection_witness(x, 0.5, 1e-9, 1e-8, model.fiber_dim)[0])
+    assert np.array_equal(u, infinite_projection_witness(x, 0.5, 1e-9, 1e-8)[0])
     assert np.abs(d[:, None] * u * d.conj()[None, :] - uc).max() <= TOL

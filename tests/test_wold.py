@@ -8,7 +8,7 @@ from scalex.operators import conjugate_random, opnorm, random_unitary, realize, 
 from scalex.operators import TruncatedShiftModel
 from scalex.wold import polar, reconstruct, wold_decompose
 
-from conftest import random_positive_definite
+from conftest import cyclic_shift, random_positive_definite
 
 
 def diag_model(n, *weights):
@@ -70,8 +70,9 @@ class TestWoldTrivialBranches:
         assert np.allclose(reconstruct(r), [[0.0]])
 
     def test_not_scalinglike(self):
-        with pytest.raises(NotScalinglike):
-            wold_decompose(np.array([[2.0]], dtype=complex))
+        for x in (np.array([[2.0]], dtype=complex), cyclic_shift(0.5), cyclic_shift(2.0)):
+            with pytest.raises(NotScalinglike):
+                wold_decompose(x)
 
     def test_no_convergence_with_tiny_budget(self):
         with pytest.raises(NoConvergence):
