@@ -36,14 +36,14 @@ EXIT_INADMISSIBLE = 3
 def _bind_lab() -> None:
     """Bind the numpy-backed lab as module globals, once, so wrappers put on them stay."""
     global np, matio, estimate_spectrum, infinite_projection_witness
-    global realize, scaling_defect, synthesize, wold_decompose, classify_properness
+    global realize, synthesize, wold_decompose, classify_properness
     if "wold_decompose" in globals():
         return
     import numpy as np
 
     from . import matio
     from .operators import classify_properness, estimate_spectrum, infinite_projection_witness
-    from .operators import realize, scaling_defect, synthesize
+    from .operators import realize, synthesize
     from .wold import wold_decompose
 
 
@@ -99,10 +99,7 @@ def cmd_homcheck(args: argparse.Namespace) -> dict:
     exists = hom_exists(src, dst)
     reason = None
     if not exists:
-        if not dst.spectrum.set.is_subset(src.spectrum.set):
-            reason = "subset"
-        else:
-            reason = "properness"
+        reason = "properness" if dst.spectrum.set.is_subset(src.spectrum.set) else "subset"
     return {
         "hom_exists": exists,
         "reason": reason,
@@ -180,14 +177,8 @@ def cmd_wold(args: argparse.Namespace) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> dict:
     x, fiber_dim = _load_operand(getattr(args, "in"))
-    verdict = classify_properness(x, args.tol, args.gap_tol)
-    defect = scaling_defect(x, fiber_dim)
-    return {
-        **asdict(verdict),
-        "verdict": verdict.verdict.value,
-        "scaling_residual": defect.residual_norm,
-        "boundary_localized": defect.boundary_localized,
-    }
+    verdict = classify_properness(x, args.tol, args.gap_tol, fiber_dim)
+    return {**asdict(verdict), "verdict": verdict.verdict.value}
 
 
 def cmd_witness(args: argparse.Namespace) -> dict:
@@ -222,6 +213,14 @@ def _tolerance(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"tolerances must be > 0, got {text}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """The type of --gap: a finite float; whether it lies in (0, 1) is the lab's question."""
+    value = float(text)
+    if not abs(value) < float("inf"):  # NaN is not
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("witness", cmd_witness, "construct an infinite-projection witness at a gap point",
             tol=1e-9, cluster_tol=1e-8)
     p.add_argument("--in", required=True)
-    p.add_argument("--gap", type=float, required=True, help="gap point c in (0,1)")
+    p.add_argument("--gap", type=_finite, required=True, help="gap point c in (0,1)")
     p.add_argument("--out", default=None, help="directory for the witness matrix")
 
     p = add("specestimate", cmd_specestimate, "estimate the spectrum of a matrix or model", cluster_tol=1e-8)

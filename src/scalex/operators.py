@@ -108,17 +108,21 @@ class ScalingDefect(NamedTuple):
     boundary_localized: bool | None
 
 
-def _defect(x: np.ndarray) -> np.ndarray:
-    return (x.conj().T @ x) @ x - x
+def _defect_of_svd(left: np.ndarray, s: np.ndarray, vh: np.ndarray, fiber_dim: int | None) -> ScalingDefect:
+    """:func:`scaling_defect` read from the caller's SVD X = L S V*, forming no R = (X*X)X - X.
 
-
-def _boundary_localized(r: np.ndarray, fiber_dim: int | None) -> bool | None:
-    """Whether the residual's range lies in the last fiber slot; None without a fiber dimension."""
+    V* R = (S^2 - I)(V* L) S V*, so R lives on the rows where s^2 != 1.  Those
+    with |s^2 - 1| <= BOUNDARY_TOL are dropped; they add at most BOUNDARY_TOL * s[0].
+    """
+    off = np.abs(s**2 - 1) > BOUNDARY_TOL
+    block = (s[off] ** 2 - 1)[:, None] * (vh[off] @ left) * s
     if fiber_dim is None:
-        return None
-    if len(r) % fiber_dim:
-        raise NotAdmissible(f"dimension {len(r)} is not a multiple of fiber_dim {fiber_dim}")
-    return _opnorm_at_most(r[: len(r) - fiber_dim, :], BOUNDARY_TOL)
+        return ScalingDefect(opnorm(block), None)
+    if len(s) % fiber_dim:
+        raise NotAdmissible(f"dimension {len(s)} is not a multiple of fiber_dim {fiber_dim}")
+    # R's rows outside the last slot are vh[off, :n - d]* block up to unitaries; a QR keeps them thin
+    rows = np.linalg.qr(vh[off, : len(s) - fiber_dim].conj().T, mode="r") @ block
+    return ScalingDefect(opnorm(block), _opnorm_at_most(rows, BOUNDARY_TOL))
 
 
 def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect:
@@ -126,10 +130,9 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
 
     With a fiber dimension the residual counts as boundary-localized when its
     range lies in the last fiber slot within 1e-10; without one the slot
-    structure is unknown and the flag is None.
+    structure is unknown and the flag is None.  One SVD of x serves both.
     """
-    r = _defect(_operand(x))
-    return ScalingDefect(opnorm(r), _boundary_localized(r, fiber_dim))
+    return _defect_of_svd(*np.linalg.svd(_operand(x)), fiber_dim)
 
 
 def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
@@ -202,6 +205,8 @@ class PropernessVerdict:
     gap_at_0: bool
     gap_at_1: bool
     projection_distance: float
+    scaling_residual: float
+    boundary_localized: bool | None
 
 
 def _require_scalinglike(x: np.ndarray, s: np.ndarray, support: np.ndarray, tol: float) -> np.ndarray:
@@ -247,14 +252,15 @@ def _shift_basis(coker: np.ndarray, ker: np.ndarray) -> np.ndarray:
     return ((c + k) / (2 * np.cos(half)) + (c - k) / (2 * np.sin(half))) / np.sqrt(2)
 
 
-def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1) -> PropernessVerdict:
+def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1,
+                        fiber_dim: int | None = None) -> PropernessVerdict:
     """Decide proper vs non-proper for a (truncated) scaling-like matrix.
 
     Non-proper needs spectral gaps just above 0 and around 1 (the compactness
     side) and agreement, on the right support of X, between the spectral
     projection of |X| at 1 and the left support of X.  An X without a shift
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
-    One SVD of X serves every test.
+    One SVD of X serves every test and the residual fields; fiber_dim feeds only boundary_localized.
     """
     x = _operand(x)
     u, s, vh = np.linalg.svd(x)
@@ -276,7 +282,7 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1) 
     distance = float(np.max(np.abs(w), initial=0.0))
 
     verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol else Properness.PROPER
-    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance)
+    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance, *_defect_of_svd(u, s, vh, fiber_dim))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import opnorm, _defect, _operand, _require_scalinglike, _shift_basis
+from .operators import opnorm, _defect_of_svd, _operand, _require_scalinglike, _shift_basis
 
 __all__ = ["WoldReport", "polar", "wold_decompose", "reconstruct"]
 
@@ -107,7 +107,7 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
     left, s, right = np.linalg.svd(x)
     rank = np.count_nonzero(s > tol)  # s is sorted, so the support is a prefix
     _require_scalinglike(x, s[:rank], right[:rank], tol)
-    defect_norm = opnorm(_defect(x))
+    defect_norm = _defect_of_svd(left, s, right, None).residual_norm
     ker = right[rank:].conj().T
     q0_basis = _shift_basis(left[:, rank:], ker)
 
@@ -187,13 +187,8 @@ def _fiber_defects(stacked: np.ndarray, fibers: int) -> tuple[float, float]:
 
 def _diagnostics(x, report, stacked, defect_norm, completeness, tail_norm) -> dict[str, float]:
     proj_defect, ortho_defect = _fiber_defects(stacked, len(report.fiber_bases))
-    xc = report.unitary_part
-    k = xc.shape[0]
-    unit_defect = 0.0
-    if k:
-        unit_defect = max(
-            opnorm(xc.conj().T @ xc - np.eye(k)), opnorm(xc @ xc.conj().T - np.eye(k))
-        )
+    xc, k = report.unitary_part, report.unitary_rank
+    unit_defect = max(opnorm(xc.conj().T @ xc - np.eye(k)), opnorm(xc @ xc.conj().T - np.eye(k)))
     bh = stacked.conj().T
     return {
         "scaling_defect": defect_norm,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from scalex.errors import NotAdmissible
-from scalex.operators import HERMITIAN_TOL
+from scalex.operators import BOUNDARY_TOL, HERMITIAN_TOL, opnorm
 from scalex.spectra import (
     GeneratorDescriptor,
     Properness,
@@ -67,6 +67,15 @@ def cyclic_shift(a: float) -> np.ndarray:
     x = np.eye(3, k=-1)
     x[0, 2] = a
     return x
+
+
+def reference_defect(x: np.ndarray, fiber_dim: int | None = None) -> tuple[float, bool | None]:
+    """(||R||, slot flag) with R = (X*X)X - X formed by two n x n products: the reference
+    for the residual the lab reads from its SVD.  The flag says whether R's rows outside
+    the last fiber slot vanish within BOUNDARY_TOL."""
+    x = np.asarray(x, dtype=complex)
+    r = (x.conj().T @ x) @ x - x
+    return opnorm(r), None if fiber_dim is None else opnorm(r[: len(r) - fiber_dim]) <= BOUNDARY_TOL
 
 
 class UndefinedAt(ValueError):

@@ -219,6 +219,18 @@ class TestMatrixFile:
         assert verify["boundary_localized"] is None and model_verify["boundary_localized"] is True
         assert witness["infinite_projection_witnessed"] is model_witness["infinite_projection_witnessed"] is True
 
+    VERIFY_KEYS = {
+        "boundary_localized", "command", "gap_at_0", "gap_at_1", "projection_distance", "scaling_residual",
+        "timestamp", "verdict",
+    }
+
+    @pytest.mark.parametrize("ext", ["json", "mat"])
+    def test_verify_schema(self, capsys, tmp_path, ext):
+        # the verdict's fields decide the report's keys, for a model and a bare matrix alike
+        run(capsys, "synth", "--spec", self.SPEC, "--properness", "nonproper", "--depth", "5", "--out", str(tmp_path))
+        code, verify = run(capsys, "verify", "--in", str(tmp_path / f"model.{ext}"))
+        assert code == 0 and set(verify) == self.VERIFY_KEYS
+
 
 class TestBadOperands:
     """Malformed matrix files end in exit 2 with a named error, never a traceback."""
@@ -311,17 +323,26 @@ class TestOptionSurface:
             [],
             ["wold", "--in", "x.mat", "--tol", "abc"],
             ["witness", "--in", "x.mat", "--gap", "half"],
+            ["witness", "--in", "x.mat", "--gap", "nan"],
+            ["witness", "--in", "x.mat", "--gap", "inf"],
+            ["witness", "--in", "x.mat", "--gap=-inf"],
             ["synth", "--spec", POINTS_01, "--seed", "1.5"],
             ["synth", "--spec", POINTS_01, "--properness", "bogus"],
         ],
         ids=[
             "classify-tol", "specestimate-seed", "verify-cluster-tol", "verify-abbreviated-gap-tol",
             "missing-spec", "missing-gap", "unknown-subcommand", "no-subcommand", "tol-not-a-number",
-            "gap-not-a-number", "seed-not-an-int", "unknown-properness",
+            "gap-not-a-number", "gap-nan", "gap-inf", "gap-minus-inf", "seed-not-an-int", "unknown-properness",
         ],
     )
     def test_malformed_command_line_is_one_json_error(self, capsys, argv):
         self.usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("gap", ["0", "1", "1.5", "-2"])
+    def test_finite_gap_outside_the_unit_interval_is_inadmissible(self, capsys, tmp_path, gap):
+        run(capsys, "synth", "--spec", POINTS_0H1, "--properness", "nonproper", "--out", str(tmp_path))
+        code, rep = run(capsys, "witness", "--in", str(tmp_path / "model.json"), f"--gap={gap}")
+        assert code == 3 and rep["kind"] == "NotAdmissible", rep
 
     def test_verify_tol_is_its_default(self, capsys, tmp_path):
         run(capsys, "synth", "--spec", POINTS_0H1, "--properness", "nonproper", "--out", str(tmp_path))

@@ -21,9 +21,10 @@ from scalex.operators import (
 )
 from scalex.spectra import Properness, ScalingSpectrum
 
-from conftest import PiecewiseFunction, functional_calculus
+from conftest import PiecewiseFunction, functional_calculus, reference_defect
 
 SPECTRUM = ScalingSpectrum.from_intervals([(0, 0), (0.3, 0.6), (1, 1)])
+DEPTH = 5
 
 
 def matrix_abs(x):
@@ -68,7 +69,7 @@ def operand(flag, seed, per_slot):
 
     Per slot the unitary acts alike on every fiber slot (it conjugates A), so
     the last slot stays the boundary; otherwise the whole space is conjugated."""
-    m = synthesize(SPECTRUM, flag, depth=5, samples_per_interval=4, seed=seed)
+    m = synthesize(SPECTRUM, flag, depth=DEPTH, samples_per_interval=4, seed=seed)
     if per_slot:
         a = conjugate_random(m.A, seed)
         return realize(TruncatedShiftModel(m.fiber_dim, m.depth, (a + a.conj().T) / 2))
@@ -108,12 +109,17 @@ def test_witness_refuses_where_the_reference_does(flag, seed, per_slot):
 
 @pytest.mark.parametrize("flag, seed, per_slot", CASES)
 def test_verdict_matches_reference(flag, seed, per_slot):
+    # a flat conjugation mixes the slots, so there the residual is not boundary-localized
     x = operand(flag, seed, per_slot)
-    got = classify_properness(x)
+    fiber_dim = len(x) // DEPTH
+    got = classify_properness(x, fiber_dim=fiber_dim)
     want = reference_verdict(x)
     assert (got.verdict, got.gap_at_0, got.gap_at_1) == want[:3]
     assert abs(got.projection_distance - want[3]) <= 1e-10
     assert got.verdict is flag
+    norm, localized = reference_defect(x, fiber_dim)
+    assert abs(got.scaling_residual - norm) <= 1e-12 * max(1.0, norm)
+    assert got.boundary_localized is localized is per_slot
 
 
 def factorizations(monkeypatch, call, *args, **kwargs):
@@ -145,10 +151,14 @@ def test_witness_takes_one_svd_and_no_eigh_or_spectral_norm(monkeypatch, per_slo
 
 
 @pytest.mark.parametrize("per_slot", [True, False], ids=["fiber", "flat"])
-def test_verdict_takes_one_square_svd_and_no_spectral_norm(monkeypatch, per_slot):
-    # the scaling gate reads the right support from this SVD
+def test_verdict_takes_one_square_svd_and_only_thin_spectral_norms(monkeypatch, per_slot):
+    # the scaling gate and the residual read this SVD; the residual's norm is taken on its
+    # rows with s != 1, here the weights and the kernel.  The slot flag needs a norm of
+    # that size only where the Frobenius bound cannot decide it: when a flat conjugation
+    # has mixed the slots
     x = operand(Properness.NON_PROPER, 3, per_slot)
     n = x.shape[0]
-    calls = factorizations(monkeypatch, classify_properness, x)
+    calls = factorizations(monkeypatch, classify_properness, x, fiber_dim=n // DEPTH)
     assert [c for c in calls if c == ("svd", (n, n))] == [("svd", (n, n))]
-    assert not [c for c in calls if c[0] in ("eigh", "norm")]
+    assert not [c for c in calls if c[0] == "eigh"]
+    assert [c for c in calls if c[0] == "norm"] == [("norm", (2 * n // DEPTH, n))] * (1 if per_slot else 2)

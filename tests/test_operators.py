@@ -18,7 +18,14 @@ from scalex.operators import (
 )
 from scalex.spectra import Properness, ScalingSpectrum
 
-from conftest import PiecewiseFunction, UndefinedAt, cyclic_shift, functional_calculus, random_positive_definite
+from conftest import (
+    PiecewiseFunction,
+    UndefinedAt,
+    cyclic_shift,
+    functional_calculus,
+    random_positive_definite,
+    reference_defect,
+)
 from test_factor_once import operand
 
 
@@ -116,7 +123,31 @@ class TestScalingDefect:
 
     def test_generic_matrix_not_localized(self, rng):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert scaling_defect(x, fiber_dim=1).boundary_localized is False
+        got, (norm, localized) = scaling_defect(x, fiber_dim=1), reference_defect(x, fiber_dim=1)
+        assert got.boundary_localized is localized is False
+        assert abs(got.residual_norm - norm) <= 1e-12 * norm
+
+    # operands on which the residual read from the SVD could drift from R formed directly,
+    # with their fiber dimensions: a residual on the whole support, weights within 1e-11
+    # of 1 (rows the thin block drops), slots mixed by a unitary
+    DRIFT = {
+        "cyclic-0.5": (lambda: cyclic_shift(0.5), 1),
+        "cyclic-2": (lambda: cyclic_shift(2.0), 1),
+        "near-one-above": (lambda: realize(diag_model(5, 0.5, 1 + 1e-11)), 2),
+        "near-one-below": (lambda: realize(diag_model(5, 1 - 1e-11, 0.7)), 2),
+        "near-one-conjugated": (lambda: conjugate_random(realize(diag_model(5, 0.5, 1 + 1e-11)), 2), 2),
+        "flat-conjugated": (lambda: operand(Properness.NON_PROPER, 1, False), 4),
+        "fiber-conjugated": (lambda: operand(Properness.PROPER, 1, True), 5),
+    }
+
+    @pytest.mark.parametrize("with_fd", [True, False], ids=["fiber", "flat"])
+    @pytest.mark.parametrize("name", list(DRIFT))
+    def test_matches_the_direct_residual(self, name, with_fd):
+        make, fiber_dim = self.DRIFT[name]
+        x, fiber_dim = make(), fiber_dim if with_fd else None
+        got, (norm, localized) = scaling_defect(x, fiber_dim), reference_defect(x, fiber_dim)
+        assert abs(got.residual_norm - norm) <= 1e-12 * max(1.0, norm)
+        assert got.boundary_localized is localized
 
 
 class TestEstimateSpectrum:
@@ -236,6 +267,21 @@ class TestClassifyProperness:
         x = np.zeros((10, 10), dtype=complex)
         x[:6, :6] = realize(diag_model(6, 0.5))
         assert isinstance(classify_properness(conjugate_random(x, 9)).verdict, Properness)
+
+    @pytest.mark.parametrize("with_fd", [True, False], ids=["fiber", "flat"])
+    # the cyclic shifts are refused, so the verdict sees the scaling-like operands
+    @pytest.mark.parametrize("name", [name for name in TestScalingDefect.DRIFT if not name.startswith("cyclic")])
+    def test_verdict_carries_the_direct_residual(self, name, with_fd):
+        make, fiber_dim = TestScalingDefect.DRIFT[name]
+        x, fiber_dim = make(), fiber_dim if with_fd else None
+        v, (norm, localized) = classify_properness(x, fiber_dim=fiber_dim), reference_defect(x, fiber_dim)
+        assert abs(v.scaling_residual - norm) <= 1e-12 * max(1.0, norm)
+        assert v.boundary_localized is localized
+        assert (v.scaling_residual, v.boundary_localized) == tuple(scaling_defect(x, fiber_dim))
+
+    def test_fiber_dim_must_divide_the_dimension(self):
+        with pytest.raises(NotAdmissible, match="not a multiple"):
+            classify_properness(realize(diag_model(5, 0.5)), fiber_dim=2)
 
     def test_one_svd_per_call(self, monkeypatch):
         # the shift-summand test reuses the verdict's SVD

@@ -143,14 +143,16 @@ def test_real_operands_factor_in_float64_as_often(monkeypatch, fn, args, flag):
 
 
 def test_real_operands_keep_the_factorization_counts(monkeypatch):
-    x = model_pair(Properness.NON_PROPER, 5)[0]
+    x, _, _, fiber_dim = model_pair(Properness.NON_PROPER, 5)
     n = x.shape[0]
     calls = factorizations(monkeypatch, infinite_projection_witness, x, 0.5)
     assert [c[:2] for c in calls if c[0] == "svd"] == [("svd", (n, n))]
     assert not [c for c in calls if c[0] in ("eigh", "norm")]
-    calls = factorizations(monkeypatch, classify_properness, x)
+    # the verdict's one spectral norm is the residual's, on its rows with s != 1
+    calls = factorizations(monkeypatch, classify_properness, x, fiber_dim=fiber_dim)
     assert [c[:2] for c in calls if c[:2] == ("svd", (n, n))] == [("svd", (n, n))]
-    assert not [c for c in calls if c[0] in ("eigh", "norm")]
+    assert not [c for c in calls if c[0] == "eigh"]
+    assert [c for c in calls if c[0] == "norm"] == [("norm", (2 * fiber_dim, n), np.dtype(float))]
 
 
 @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)

@@ -302,10 +302,10 @@ class TestFiberBasisRecursion:
             )
             for depth in (8, 32)
         ]
-        # one SVD shared by the boundary test, q0 and the kernel basis; one eigh
-        # for the unitary summand and completeness; the scaling, commutation
-        # and reconstruction norms
-        assert counts[0] == counts[1] == 5
+        # one SVD shared by the boundary test, the scaling residual, q0 and the
+        # kernel basis; one eigh for the unitary summand and completeness; the
+        # commutation and reconstruction norms
+        assert counts[0] == counts[1] == 4
 
 
 @pytest.mark.parametrize("x", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(4)], ids=["empty", "2x3", "1-d"])
