@@ -8,11 +8,10 @@ a fixed seed apart from the ``timestamp`` field).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
-from dataclasses import asdict
+import time
 
 from .errors import AdmissibilityError, DimensionMismatch, ScalexError
 from .ktheory import PuncturedSet, k_of_functions, k_of_generator
@@ -35,16 +34,25 @@ EXIT_INADMISSIBLE = 3
 
 def _bind_lab() -> None:
     """Bind the numpy-backed lab as module globals, once, so wrappers put on them stay."""
-    global np, matio, estimate_spectrum, infinite_projection_witness
+    global asdict, np, matio, estimate_spectrum, infinite_projection_witness
     global realize, synthesize, wold_decompose, classify_properness
     if "wold_decompose" in globals():
         return
+    from dataclasses import asdict
+
     import numpy as np
 
     from . import matio
     from .operators import classify_properness, estimate_spectrum, infinite_projection_witness
     from .operators import realize, synthesize
     from .wold import wold_decompose
+
+
+def _timestamp() -> str:
+    """UTC now as ``datetime.now(timezone.utc).isoformat()`` spells it: microseconds floored, omitted at 0."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(seconds)[:6]
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
 
 
 def _load_json_arg(value: str) -> dict:
@@ -289,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         indent, report = None, {"error": str(exc), "kind": type(exc).__name__}
     else:
         report["command"] = args.command
-        report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        report["timestamp"] = _timestamp()
     try:
         json.dump(report, sys.stdout, indent=indent, sort_keys=True)
         print(flush=True)

@@ -9,10 +9,8 @@ one K0 generator, open pieces one K1 generator, half-open pieces nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidInterval, NotAdmissible, NotMember
-from .spectra import GeneratorDescriptor, Properness, SpectralSet, _is_numbers
+from .spectra import GeneratorDescriptor, Properness, SpectralSet, _is_numbers, _Record
 
 __all__ = [
     "Component",
@@ -27,10 +25,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KGroupResult:
+class KGroupResult(_Record):
     """Free-abelian ranks of K0 and K1."""
 
+    __slots__ = ("k0_rank", "k1_rank")
     k0_rank: int
     k1_rank: int
 
@@ -38,10 +36,10 @@ class KGroupResult:
         return {"k0": self.k0_rank, "k1": self.k1_rank}
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Record):
     """One maximal connected piece of a punctured set."""
 
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
     lo: float
     hi: float
     lo_closed: bool
@@ -67,12 +65,13 @@ class Component:
         return True
 
 
-@dataclass(frozen=True)
-class PuncturedSet:
+class PuncturedSet(_Record):
     """A spectral set with finitely many points deleted."""
 
+    __slots__ = ("base", "removed")
+    _defaults = {"removed": ()}
     base: SpectralSet
-    removed: tuple[float, ...] = field(default_factory=tuple)
+    removed: tuple[float, ...]
 
     def __post_init__(self):
         pts = tuple(float(x) for x in self.removed)

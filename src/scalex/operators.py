@@ -209,6 +209,14 @@ class PropernessVerdict:
     boundary_localized: bool | None
 
 
+def _support_rank(s: np.ndarray, tol: float) -> int:
+    """How many of the sorted s exceed tol; :class:`NotAdmissible` if none do and s[0] > 0."""
+    rank = np.count_nonzero(s > tol)
+    if not rank and s[0] > 0:
+        raise NotAdmissible(f"tol {tol:g} is at or above the largest singular value {s[0]:.6g}")
+    return rank
+
+
 def _require_scalinglike(x: np.ndarray, s: np.ndarray, support: np.ndarray, tol: float) -> np.ndarray:
     """support R for the scaling residual R; :class:`NotScalinglike` unless its norm is <= tol.
 
@@ -303,16 +311,17 @@ def infinite_projection_witness(
 
     With c a gap point of the estimated spectrum, U = X g(|X|) for
     g(t) = 1/t above c and 0 below; compressed onto the right support of X,
-    U*U is a projection strictly dominating UU*.
+    U*U is a projection strictly dominating UU*.  A tol at or above the
+    largest singular value of a nonzero X raises :class:`NotAdmissible`.
     """
     if not (0.0 < c < 1.0):
         raise NotAdmissible(f"gap point must lie in (0, 1), got {c}")
     x = _operand(x)
     left, s, vh = np.linalg.svd(x)
+    # s is sorted, so the support and the pairs above c are prefixes
+    rank, k = _support_rank(s, tol), np.count_nonzero(s > c)
     if _clusters(s, cluster_tol).contains(c):
         raise NoGap(f"{c} lies in the estimated spectrum")
-    # s is sorted, so the support and the pairs above c are prefixes
-    rank, k = np.count_nonzero(s > tol), np.count_nonzero(s > c)
     _require_scalinglike(x, s[:rank], vh[:rank], tol)
 
     # X = L S V* and g(|X|) = V g(S) V*, so U keeps the singular pairs above c;

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from enum import Enum
-from typing import Iterable, Sequence
 
 from .errors import InvalidInterval, NegativeEndpoint, NotAdmissible, NotMember
 
@@ -55,10 +54,55 @@ def _check_endpoints(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class SpectralSet:
+class _Record:
+    """Immutable value record: its ``__slots__`` are its fields, given by position or keyword.
+
+    ``_defaults`` fills omitted fields; ``__post_init__`` then validates, and may
+    rebind a field with ``object.__setattr__``.  The lab's records stay
+    dataclasses: they load after numpy, which imports ``inspect`` itself.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or kwargs.keys() & set(names[: len(args)]) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(names)}), each once")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SpectralSet(_Record):
     """A finite union of disjoint closed intervals in [0, oo), kept sorted."""
 
+    __slots__ = ("intervals",)
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
@@ -127,10 +171,10 @@ def normalize(raw: Iterable[Sequence[float]]) -> SpectralSet:
     return SpectralSet(tuple(merged))
 
 
-@dataclass(frozen=True)
-class ScalingSpectrum:
+class ScalingSpectrum(_Record):
     """A spectral set that is admissible as spec(|X*|): it must contain 0 and 1."""
 
+    __slots__ = ("set",)
     set: SpectralSet
 
     def __post_init__(self):
@@ -149,10 +193,10 @@ class ScalingSpectrum:
         return cls(SpectralSet.from_json(obj))
 
 
-@dataclass(frozen=True)
-class GeneratorDescriptor:
+class GeneratorDescriptor(_Record):
     """Complete isomorphism invariant of a generated algebra: spectrum + flag."""
 
+    __slots__ = ("spectrum", "properness")
     spectrum: ScalingSpectrum
     properness: Properness
 

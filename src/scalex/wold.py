@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import opnorm, _defect_of_svd, _operand, _require_scalinglike, _shift_basis
+from .operators import opnorm, _defect_of_svd, _operand, _require_scalinglike, _shift_basis, _support_rank
 
 __all__ = ["WoldReport", "polar", "wold_decompose", "reconstruct"]
 
@@ -94,9 +94,10 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
     singular values of the n x r image X V_k.  A real x stays in float64.
 
     Raises :class:`NotScalinglike` when the scaling identity fails beyond tol
-    away from the boundary, :class:`NoConvergence` when the fiber recursion
-    exceeds max_steps (default: the dimension) without dying out, and
-    :class:`DimensionMismatch` on an empty or non-square x.
+    away from the boundary, :class:`NotAdmissible` when tol is at or above the
+    largest singular value of a nonzero x, :class:`NoConvergence` when the
+    fiber recursion exceeds max_steps (default: the dimension) without dying
+    out, and :class:`DimensionMismatch` on an empty or non-square x.
     """
     x = _operand(x)
     n = x.shape[0]
@@ -105,7 +106,7 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
 
     # one SVD serves the scaling gate, the shift basis and the kernel basis
     left, s, right = np.linalg.svd(x)
-    rank = np.count_nonzero(s > tol)  # s is sorted, so the support is a prefix
+    rank = _support_rank(s, tol)
     _require_scalinglike(x, s[:rank], right[:rank], tol)
     defect_norm = _defect_of_svd(left, s, right, None).residual_norm
     ker = right[rank:].conj().T

@@ -1,7 +1,10 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -285,6 +288,35 @@ class TestBadOperands:
         code, rep = run(capsys, "verify", "--in", str(path))
         assert code == 3 and rep["kind"] == "NotAdmissible"
 
+    ONE_SLOT = '{"d": 1, "N": 6, "A": [[0.5]]}'  # singular values 1, 1, 1, 1, 0.5, 0
+
+    @pytest.mark.parametrize("command", ["verify", "wold", "witness"])
+    @pytest.mark.parametrize("tol", ["1", "5"])
+    def test_tol_at_or_above_the_norm_is_refused(self, capsys, tmp_path, command, tol):
+        # no singular value above tol: there is no support to decide on
+        path = tmp_path / "model.json"
+        path.write_text(self.ONE_SLOT)
+        gap = ["--gap", "0.7"] if command == "witness" else []
+        code, rep = run(capsys, command, "--in", str(path), "--tol", tol, *gap)
+        assert code == 3 and rep["kind"] == "NotAdmissible", rep
+
+    @pytest.mark.parametrize("command", ["wold", "witness"])
+    def test_tol_below_the_norm_is_read(self, capsys, tmp_path, command):
+        path = tmp_path / "model.json"
+        path.write_text(self.ONE_SLOT)
+        gap = ["--gap", "0.7"] if command == "witness" else []
+        code, rep = run(capsys, command, "--in", str(path), "--tol", "0.99", *gap)
+        assert code == 0, rep
+
+    def test_zero_operand_keeps_its_report_at_any_tol(self, capsys, tmp_path):
+        path = tmp_path / "zero.mat"
+        path.write_text("3 3\n" + "0,0 0,0 0,0\n" * 3)
+        for tol in ("1e-9", "5"):
+            code, rep = run(capsys, "wold", "--in", str(path), "--tol", tol)
+            assert code == 0 and rep["kernel_rank"] == 3 and rep["q_ranks"] == [], rep
+            code, rep = run(capsys, "witness", "--in", str(path), "--tol", tol, "--gap", "0.5")
+            assert code == 0 and rep["infinite_projection_witnessed"] is False, rep
+
 
 class TestOptionSurface:
     """Each subcommand accepts exactly the tolerance and seed flags its call reads."""
@@ -390,6 +422,28 @@ class TestDeterminism:
             capsys, "synth", "--spec", POINTS_01, "--depth", "4", "--out", str(tmp_path)
         )
         assert code == 0 and rep["seed"] == 77
+
+
+def test_timestamp_is_utc_now(capsys):
+    _, rep = run(capsys, "classify", "--spec", POINTS_01)
+    stamp = rep["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00", stamp), stamp
+    when = datetime.fromisoformat(stamp)
+    assert when.tzinfo is not None and when.utcoffset() == timedelta(0)
+    assert abs(datetime.now(timezone.utc) - when) < timedelta(seconds=5)
+
+
+@pytest.mark.parametrize(
+    "ns",
+    [0, 1_792_394_364_000_000_000, 1_792_394_364_000_000_999, 1_792_394_364_384_370_999, 951_782_400_000_001_000],
+    ids=["epoch", "whole-second", "under-a-microsecond", "floored", "leap-day"],
+)
+def test_timestamp_spells_datetime_isoformat(capsys, monkeypatch, ns):
+    # datetime.now floors the clock to microseconds and drops a zero fraction
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    _, rep = run(capsys, "classify", "--spec", POINTS_01)
+    want = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=ns // 1000)
+    assert rep["timestamp"] == want.isoformat()
 
 
 def test_module_entry_point():

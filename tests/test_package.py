@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -57,6 +58,43 @@ def test_import_loads_no_numpy():
     code = "import sys, scalex; scalex.hom_exists; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# what the exact-engine subcommands never use: the lab's numpy, and what dataclasses and datetime pull in
+LAB_ONLY = ("numpy", "dataclasses", "inspect", "datetime")
+SPEC = '{"intervals": [[0,0],[0.5,0.5],[1,1]]}'
+DESCRIPTOR = '{"spectrum": %s, "proper": true}' % SPEC
+EXACT_ENGINE_CALLS = [
+    (["classify", "--spec", SPEC], 0),
+    (["classify", "--spec", '{"intervals": [[1,0]]}'], 2),
+    (["homcheck", "--from", DESCRIPTOR, "--to", DESCRIPTOR], 0),
+    (["homcheck", "--from", "{broken", "--to", DESCRIPTOR], 2),
+    (["isocheck", "--from", DESCRIPTOR, "--to", DESCRIPTOR], 0),
+    (["isocheck", "--from", DESCRIPTOR, "--to", '{"spectrum": {}}'], 2),
+    (["kgroups", "--spec", DESCRIPTOR], 0),
+    (["kgroups", "--spec", '{"base": {"intervals": [[0,1]]}, "removed": "x"}'], 2),
+]
+
+
+def child_modules(code: str) -> list[str]:
+    """Which of LAB_ONLY a fresh interpreter has loaded once it has run code."""
+    tail = f"import sys; print(json.dumps([m for m in {LAB_ONLY!r} if m in sys.modules]))"
+    proc = subprocess.run([sys.executable, "-c", f"import json\n{code}\n{tail}"],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exact_engine_subcommands_load_no_lab_modules():
+    code = f"""
+import contextlib, io
+from scalex.cli import main
+for argv, want in {EXACT_ENGINE_CALLS!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == want, (argv, out.getvalue())
+    json.loads(out.getvalue())
+"""
+    preloaded = child_modules("pass")
+    assert not set(child_modules(code)) - set(preloaded)
 
 
 @pytest.mark.parametrize("name", ["PiecewiseFunction", "functional_calculus", "UndefinedAt", "q_projections"])
