@@ -108,14 +108,14 @@ class ScalingDefect(NamedTuple):
     boundary_localized: bool | None
 
 
-def _defect_of_svd(left: np.ndarray, s: np.ndarray, vh: np.ndarray, fiber_dim: int | None) -> ScalingDefect:
-    """:func:`scaling_defect` read from the caller's SVD X = L S V*, forming no R = (X*X)X - X.
+def _defect_of_svd(s: np.ndarray, vh: np.ndarray, cross: np.ndarray, fiber_dim: int | None) -> ScalingDefect:
+    """:func:`scaling_defect` read from the caller's SVD X = L S V* and its cross product V* L.
 
     V* R = (S^2 - I)(V* L) S V*, so R lives on the rows where s^2 != 1.  Those
     with |s^2 - 1| <= BOUNDARY_TOL are dropped; they add at most BOUNDARY_TOL * s[0].
     """
     off = np.abs(s**2 - 1) > BOUNDARY_TOL
-    block = (s[off] ** 2 - 1)[:, None] * (vh[off] @ left) * s
+    block = (s[off] ** 2 - 1)[:, None] * cross[off] * s
     if fiber_dim is None:
         return ScalingDefect(opnorm(block), None)
     if len(s) % fiber_dim:
@@ -132,7 +132,8 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
     range lies in the last fiber slot within 1e-10; without one the slot
     structure is unknown and the flag is None.  One SVD of x serves both.
     """
-    return _defect_of_svd(*np.linalg.svd(_operand(x)), fiber_dim)
+    left, s, vh = np.linalg.svd(_operand(x))
+    return _defect_of_svd(s, vh, vh @ left, fiber_dim)
 
 
 def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
@@ -209,38 +210,37 @@ class PropernessVerdict:
     boundary_localized: bool | None
 
 
-def _support_rank(s: np.ndarray, tol: float) -> int:
-    """How many of the sorted s exceed tol; :class:`NotAdmissible` if none do and s[0] > 0."""
+def _factor(x, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The lab's one prelude: the operand X, its SVD L, s, V*, the cross product V* L and the rank.
+
+    rank counts the s above tol, so the right support is the prefix V*[:rank].
+    The scaling residual R = (X*X)X - X has V* R V = (S^2 - I)(V* L) S: the gate,
+    the residual and the support differences are all blocks of V* L.  Refusals,
+    in this order: :class:`DimensionMismatch` (x empty or non-square),
+    :class:`NotAdmissible` (tol leaves a nonzero X no support) and
+    :class:`NotScalinglike` (R's rows on the right support exceed tol in norm;
+    the test is basis-free, so it survives unitary conjugation).
+    """
+    x = _operand(x)
+    left, s, vh = np.linalg.svd(x)
     rank = np.count_nonzero(s > tol)
     if not rank and s[0] > 0:
         raise NotAdmissible(f"tol {tol:g} is at or above the largest singular value {s[0]:.6g}")
-    return rank
-
-
-def _require_scalinglike(x: np.ndarray, s: np.ndarray, support: np.ndarray, tol: float) -> np.ndarray:
-    """support R for the scaling residual R; :class:`NotScalinglike` unless its norm is <= tol.
-
-    ``s`` and ``support`` are the singular values above tol and their right
-    singular vectors vh[s > tol] from the caller's SVD X = L S V*.  Since
-    X*X = V S^2 V*, V* R = (S^2 - I) V* X, so the rows on the right support
-    come without forming R.  R is boundary when its range avoids the right
-    support; this test is basis-free, so it survives unitary conjugation.
-    """
-    block = (s**2 - 1)[:, None] * (support @ x)
+    cross = vh @ left
+    block = (s[:rank] ** 2 - 1)[:, None] * cross[:rank] * s
     if not _opnorm_at_most(block, tol):
         raise NotScalinglike(f"scaling identity fails by {opnorm(block):.3e} away from the boundary")
-    return block
+    return x, left, s, vh, cross, rank
 
 
-def _support_difference(support: np.ndarray, mask: np.ndarray, left: np.ndarray) -> np.ndarray:
+def _support_difference(cross: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Eigenvalues of L L* - P compressed onto the right support.
 
-    ``support`` holds the right-support rows of an SVD and P projects onto
-    those of them that ``mask`` selects, so in that basis P is a 0/1 diagonal
-    and only the orthonormal columns L need the product ``support L``.
+    ``cross`` is the block V_r* L of the cross product: the right-support rows
+    against the orthonormal columns L in play.  P projects onto the right
+    singular vectors that ``mask`` selects, so in the basis V_r it is a 0/1 diagonal.
     """
-    m = support @ left
-    m = m @ m.conj().T  # rebound, so the r x k factor is freed before eigvalsh
+    m = cross @ cross.conj().T
     m[np.diag_indices_from(m)] -= mask
     return np.linalg.eigvalsh(m)
 
@@ -270,10 +270,7 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1,
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
     One SVD of X serves every test and the residual fields; fiber_dim feeds only boundary_localized.
     """
-    x = _operand(x)
-    u, s, vh = np.linalg.svd(x)
-    rank = np.count_nonzero(s > tol)  # s is sorted, so the support is a prefix
-    _require_scalinglike(x, s[:rank], vh[:rank], tol)
+    u, s, vh, cross, rank = _factor(x, tol)[1:]  # the operand is not needed past its SVD
     if not _shift_basis(u[:, rank:], vh[rank:].conj().T).shape[1]:
         raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
@@ -286,11 +283,11 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1,
     gap_at_1 = not np.any((dist1 > tol) & (dist1 <= gap_tol))
 
     # eigenvectors of |X| are right singular vectors; of |X*|, left ones
-    w = _support_difference(vh[:rank], dist1[:rank] <= tol, u[:, :rank])
+    w = _support_difference(cross[:rank, :rank], dist1[:rank] <= tol)
     distance = float(np.max(np.abs(w), initial=0.0))
 
     verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol else Properness.PROPER
-    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance, *_defect_of_svd(u, s, vh, fiber_dim))
+    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance, *_defect_of_svd(s, vh, cross, fiber_dim))
 
 
 @dataclass(frozen=True)
@@ -311,24 +308,22 @@ def infinite_projection_witness(
 
     With c a gap point of the estimated spectrum, U = X g(|X|) for
     g(t) = 1/t above c and 0 below; compressed onto the right support of X,
-    U*U is a projection strictly dominating UU*.  A tol at or above the
-    largest singular value of a nonzero X raises :class:`NotAdmissible`.
+    U*U is a projection strictly dominating UU*.  The refusals of :func:`_factor`
+    come first, then :class:`NoGap` when c lies in the clustered spectrum.
     """
     if not (0.0 < c < 1.0):
         raise NotAdmissible(f"gap point must lie in (0, 1), got {c}")
-    x = _operand(x)
-    left, s, vh = np.linalg.svd(x)
-    # s is sorted, so the support and the pairs above c are prefixes
-    rank, k = _support_rank(s, tol), np.count_nonzero(s > c)
+    left, s, vh, cross, rank = _factor(x, tol)[1:]
     if _clusters(s, cluster_tol).contains(c):
         raise NoGap(f"{c} lies in the estimated spectrum")
-    _require_scalinglike(x, s[:rank], vh[:rank], tol)
 
-    # X = L S V* and g(|X|) = V g(S) V*, so U keeps the singular pairs above c;
-    # on the right support U*U is the 0/1 diagonal of those pairs, so its
-    # projection defect is exactly 0
+    # X = L S V* and g(|X|) = V g(S) V*, so U keeps the singular pairs above c,
+    # a prefix since s is sorted; on the right support U*U is the 0/1 diagonal
+    # of those pairs, so its projection defect is exactly 0
+    k = np.count_nonzero(s > c)
+    w = _support_difference(cross[:rank, :k], np.arange(rank) < k)
+    del cross  # before U, the other n x n array of the call
     u = (left[:, :k] @ vh[:k]).astype(complex, copy=False)
-    w = _support_difference(vh[:rank], np.arange(rank) < k, left[:, :k])
     dominated = bool(np.max(w, initial=0.0) <= tol)
     return u, WitnessReport(c, 0.0, dominated, float(np.max(np.abs(w), initial=0.0)))
 

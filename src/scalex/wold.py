@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import opnorm, _defect_of_svd, _operand, _require_scalinglike, _shift_basis, _support_rank
+from .operators import opnorm, _defect_of_svd, _factor, _shift_basis
 
 __all__ = ["WoldReport", "polar", "wold_decompose", "reconstruct"]
 
@@ -99,16 +99,14 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
     fiber recursion exceeds max_steps (default: the dimension) without dying
     out, and :class:`DimensionMismatch` on an empty or non-square x.
     """
-    x = _operand(x)
+    # one SVD serves the scaling gate, the residual, the shift basis and the kernel basis
+    x, left, s, right, cross, rank = _factor(x, tol)
+    defect_norm = _defect_of_svd(s, right, cross, None).residual_norm
+    del cross
     n = x.shape[0]
     if max_steps is None:
         max_steps = n
 
-    # one SVD serves the scaling gate, the shift basis and the kernel basis
-    left, s, right = np.linalg.svd(x)
-    rank = _support_rank(s, tol)
-    _require_scalinglike(x, s[:rank], right[:rank], tol)
-    defect_norm = _defect_of_svd(left, s, right, None).residual_norm
     ker = right[rank:].conj().T
     q0_basis = _shift_basis(left[:, rank:], ker)
 

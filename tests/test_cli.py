@@ -277,16 +277,26 @@ class TestBadOperands:
         code, rep = run(capsys, command, "--in", str(path))
         assert code == 2 and rep["kind"] == "DimensionMismatch"
 
-    @pytest.mark.parametrize(
-        "text",
-        ["3 3\n1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n", "3 3\n" + "0,0 0,0 0,0\n" * 3, "2 2\n1,0 0,0\n0,0 0,0\n"],
-        ids=["identity", "zero", "diag-1-0"],
-    )
+    NORMAL = {
+        "identity": "3 3\n1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n",
+        "zero": "3 3\n" + "0,0 0,0 0,0\n" * 3,
+        "diag-1-0": "2 2\n1,0 0,0\n0,0 0,0\n",
+    }
+
+    @pytest.mark.parametrize("text", list(NORMAL.values()), ids=list(NORMAL))
     def test_verify_gives_no_verdict_for_a_normal_operator(self, capsys, tmp_path, text):
         path = tmp_path / "normal.mat"
         path.write_text(text)
         code, rep = run(capsys, "verify", "--in", str(path))
         assert code == 3 and rep["kind"] == "NotAdmissible"
+
+    @pytest.mark.parametrize("name", ["identity", "diag-1-0"])
+    def test_witness_finds_no_witness_on_a_normal_operator(self, capsys, tmp_path, name):
+        # no shift summand, so no infinite projection: "not witnessed" claims nothing the mathematics rules out
+        path = tmp_path / "normal.mat"
+        path.write_text(self.NORMAL[name])
+        code, rep = run(capsys, "witness", "--in", str(path), "--gap", "0.5")
+        assert code == 0 and rep["infinite_projection_witnessed"] is False, rep
 
     ONE_SLOT = '{"d": 1, "N": 6, "A": [[0.5]]}'  # singular values 1, 1, 1, 1, 0.5, 0
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from scalex import operators
 from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NotAdmissible, NotScalinglike
 from scalex.operators import (
-    _require_scalinglike,
+    _factor,
     _shift_basis,
     TruncatedShiftModel,
     classify_properness,
@@ -295,7 +296,14 @@ class TestClassifyProperness:
 class TestScalingGate:
     @pytest.mark.parametrize("a", [0.5, 2.0])
     @pytest.mark.parametrize(
-        "call", [classify_properness, lambda x: infinite_projection_witness(x, 0.7)], ids=["verdict", "witness"]
+        "call",
+        [
+            classify_properness,
+            lambda x: infinite_projection_witness(x, 0.7),
+            # 0.5 is a singular value of the weight-1/2 shift: the gate refuses before the NoGap test
+            lambda x: infinite_projection_witness(x, 0.5),
+        ],
+        ids=["verdict", "witness", "witness-at-0.5"],
     )
     def test_cyclic_shift_is_refused(self, call, a):
         # the identity fails by |a^2 - 1| on the support, whatever the slot structure
@@ -304,17 +312,19 @@ class TestScalingGate:
 
     @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
     @pytest.mark.parametrize("which", ["real", "fiber", "flat"])
-    def test_block_is_the_residual_on_the_right_support(self, flag, which):
+    def test_block_is_the_residual_on_the_right_support(self, monkeypatch, flag, which):
         if which == "real":
             x = realize(synthesize(spectrum((0, 0), (0.3, 0.6), (1, 1)), flag, 5, 4, seed=1))
         else:
             x = operand(flag, 1, which == "fiber")
+        # the block the prelude's gate judges, V_r* R V; the gate lets it through, so the cyclic shifts it
+        # refuses reach the comparison too
+        judged = []
+        monkeypatch.setattr(operators, "_opnorm_at_most", lambda m, tol: judged.append(m) or True)
         for op in (x, cyclic_shift(0.5), cyclic_shift(2.0)):
-            _, s, vh = np.linalg.svd(op)
-            rank = np.count_nonzero(s > 1e-8)
-            block = _require_scalinglike(op, s[:rank], vh[:rank], np.inf)  # an infinite tol refuses nothing
+            _, _, s, vh, _, rank = _factor(op, 1e-8)
             want = vh[:rank] @ ((op.conj().T @ op) @ op - op)
-            assert np.abs(block - want).max() <= 1e-12
+            assert np.abs(judged.pop() @ vh - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(40))
