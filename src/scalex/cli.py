@@ -101,31 +101,18 @@ def cmd_classify(args: argparse.Namespace) -> dict:
     return report
 
 
-def cmd_homcheck(args: argparse.Namespace) -> dict:
+def cmd_check(args: argparse.Namespace) -> dict:
+    """homcheck and isocheck: whether the generator-sending map exists, and else which clause fails."""
     src = GeneratorDescriptor.from_json(_load_json_arg(getattr(args, "from")))
     dst = GeneratorDescriptor.from_json(_load_json_arg(args.to))
-    exists = hom_exists(src, dst)
-    reason = None
-    if not exists:
-        reason = "properness" if dst.spectrum.set.is_subset(src.spectrum.set) else "subset"
+    a, b = src.spectrum.set, dst.spectrum.set
+    if args.command == "homcheck":
+        exists, reason = hom_exists(src, dst), "properness" if b.is_subset(a) else "subset"
+    else:
+        exists, reason = iso_exists(src, dst), "spectrum" if a != b else "properness"
     return {
-        "hom_exists": exists,
-        "reason": reason,
-        "from": src.to_json(),
-        "to": dst.to_json(),
-    }
-
-
-def cmd_isocheck(args: argparse.Namespace) -> dict:
-    src = GeneratorDescriptor.from_json(_load_json_arg(getattr(args, "from")))
-    dst = GeneratorDescriptor.from_json(_load_json_arg(args.to))
-    exists = iso_exists(src, dst)
-    reason = None
-    if not exists:
-        reason = "spectrum" if src.spectrum.set != dst.spectrum.set else "properness"
-    return {
-        "iso_exists": exists,
-        "reason": reason,
+        f"{args.command[:3]}_exists": exists,
+        "reason": None if exists else reason,
         "from": src.to_json(),
         "to": dst.to_json(),
     }
@@ -159,7 +146,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
     matrix_path = os.path.join(outdir, "model.mat")
     matio.save_model(model_path, model)
     matio.save_matrix(matrix_path, x)
-    estimated = estimate_spectrum(x, args.cluster_tol)
+    estimated = estimate_spectrum(x, **_tolerances_given(args))
     return {
         "model_path": model_path,
         "matrix_path": matrix_path,
@@ -174,7 +161,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
 
 def cmd_wold(args: argparse.Namespace) -> dict:
     x, _ = _load_operand(getattr(args, "in"))
-    report = wold_decompose(x, args.tol).to_json()
+    report = wold_decompose(x, **_tolerances_given(args)).to_json()
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -185,13 +172,13 @@ def cmd_wold(args: argparse.Namespace) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> dict:
     x, fiber_dim = _load_operand(getattr(args, "in"))
-    verdict = classify_properness(x, args.tol, args.gap_tol, fiber_dim)
+    verdict = classify_properness(x, fiber_dim=fiber_dim, **_tolerances_given(args))
     return {**asdict(verdict), "verdict": verdict.verdict.value}
 
 
 def cmd_witness(args: argparse.Namespace) -> dict:
     x, _ = _load_operand(getattr(args, "in"))
-    u, report = infinite_projection_witness(x, args.gap, args.tol, args.cluster_tol)
+    u, report = infinite_projection_witness(x, args.gap, **_tolerances_given(args))
     out = {
         **asdict(report),
         "infinite_projection_witnessed": bool(report.dominated and report.norm_difference >= 0.5),
@@ -206,7 +193,7 @@ def cmd_witness(args: argparse.Namespace) -> dict:
 
 def cmd_specestimate(args: argparse.Namespace) -> dict:
     x, _ = _load_operand(getattr(args, "in"))
-    return estimate_spectrum(x, args.cluster_tol).to_json()
+    return estimate_spectrum(x, **_tolerances_given(args)).to_json()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,64 +219,64 @@ def _finite(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand declares exactly the tolerances its lab call reads, with their defaults."""
+_IN = {"--in": {"required": True}}
+_PAIR = {"--from": {"required": True, "help": "source descriptor JSON"},
+         "--to": {"required": True, "help": "target descriptor JSON"}}
+
+# Each subcommand, declared once: its handler, its help, the tolerances its lab call reads and its
+# other flags.  A tolerance flag has no default here: one left out takes the lab call's default.
+SUBCOMMANDS = {
+    "classify": (cmd_classify, "classify a spectrum: admissibility, infinite projections, K-ranks", (),
+                 {"--spec": {"required": True, "help": "spectral-set JSON (inline or path)"}}),
+    "homcheck": (cmd_check, "decide existence of a generator-sending homomorphism", (), _PAIR),
+    "isocheck": (cmd_check, "decide existence of a generator-sending isomorphism", (), _PAIR),
+    "kgroups": (cmd_kgroups, "K-group ranks of a descriptor, punctured set or spectral set", (),
+                {"--spec": {"required": True}}),
+    "synth": (cmd_synth, "synthesize a truncated shift model for a spectrum", ("cluster_tol",), {
+        "--spec": {"required": True},
+        "--properness": {"type": str.lower, "choices": [f.value for f in Properness], "default": "proper"},
+        "--depth": {"type": int, "default": 6},
+        "--samples": {"type": int, "default": 3},
+        "--seed": {"type": int, "help": "falls back to env SCALEX_SEED, then 0"},
+        "--out": {"help": "output directory (default: cwd)"},
+    }),
+    "wold": (cmd_wold, "run the Wold decomposition on a matrix or model file", ("tol",),
+             {**_IN, "--out": {"help": "also write the report JSON here"}}),
+    "verify": (cmd_verify, "check the scaling identity and classify properness", ("tol", "gap_tol"), _IN),
+    "witness": (cmd_witness, "construct an infinite-projection witness at a gap point", ("tol", "cluster_tol"), {
+        **_IN,
+        "--gap": {"type": _finite, "required": True, "help": "gap point c in (0,1)"},
+        "--out": {"help": "directory for the witness matrix"},
+    }),
+    "specestimate": (cmd_specestimate, "estimate the spectrum of a matrix or model", ("cluster_tol",), _IN),
+}
+
+
+def _tolerances_given(args: argparse.Namespace) -> dict:
+    """The tolerance flags given on the command line, as keywords for the lab call."""
+    return {name: getattr(args, name) for name in SUBCOMMANDS[args.command][2] if name in args}
+
+
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone, or of every subcommand when ``name`` names none."""
     parser = _Parser(prog="scalex", description="scaling-element decision engine and operator lab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_, **tolerances):
-        p = sub.add_parser(name, help=help_, allow_abbrev=False)
-        p.set_defaults(func=func)
-        for dest, default in tolerances.items():
-            p.add_argument("--" + dest.replace("_", "-"), type=_tolerance, default=default)
-        return p
-
-    p = add("classify", cmd_classify, "classify a spectrum: admissibility, infinite projections, K-ranks")
-    p.add_argument("--spec", required=True, help="spectral-set JSON (inline or path)")
-
-    for name, func, help_ in (
-        ("homcheck", cmd_homcheck, "decide existence of a generator-sending homomorphism"),
-        ("isocheck", cmd_isocheck, "decide existence of a generator-sending isomorphism"),
-    ):
-        p = add(name, func, help_)
-        p.add_argument("--from", required=True, help="source descriptor JSON")
-        p.add_argument("--to", required=True, help="target descriptor JSON")
-
-    p = add("kgroups", cmd_kgroups, "K-group ranks of a descriptor, punctured set or spectral set")
-    p.add_argument("--spec", required=True)
-
-    p = add("synth", cmd_synth, "synthesize a truncated shift model for a spectrum", cluster_tol=1e-8)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--properness", type=str.lower, choices=[f.value for f in Properness], default="proper")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None, help="falls back to env SCALEX_SEED, then 0")
-    p.add_argument("--out", default=None, help="output directory (default: cwd)")
-
-    p = add("wold", cmd_wold, "run the Wold decomposition on a matrix or model file", tol=1e-9)
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", default=None, help="also write the report JSON here")
-
-    p = add("verify", cmd_verify, "check the scaling identity and classify properness", tol=1e-8, gap_tol=0.1)
-    p.add_argument("--in", required=True)
-
-    p = add("witness", cmd_witness, "construct an infinite-projection witness at a gap point",
-            tol=1e-9, cluster_tol=1e-8)
-    p.add_argument("--in", required=True)
-    p.add_argument("--gap", type=_finite, required=True, help="gap point c in (0,1)")
-    p.add_argument("--out", default=None, help="directory for the witness matrix")
-
-    p = add("specestimate", cmd_specestimate, "estimate the spectrum of a matrix or model", cluster_tol=1e-8)
-    p.add_argument("--in", required=True)
-
+    for command in (name,) if name in SUBCOMMANDS else SUBCOMMANDS:
+        _, help_, tolerances, flags = SUBCOMMANDS[command]
+        p = sub.add_parser(command, help=help_, allow_abbrev=False)
+        for tol in tolerances:
+            p.add_argument("--" + tol.replace("_", "-"), type=_tolerance, default=argparse.SUPPRESS)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     code, indent = EXIT_OK, 2
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
-        report = args.func(args)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        report = SUBCOMMANDS[args.command][0](args)
     except MemoryError as exc:  # an operand too large to allocate: malformed input, as a lying header is
         code, indent, report = EXIT_PARSE, None, {"error": str(exc), "kind": DimensionMismatch.__name__}
     except (ScalexError, ValueError, OSError, KeyError) as exc:

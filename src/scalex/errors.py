@@ -13,7 +13,7 @@ class ScalexError(Exception):
 
 
 class InvalidInterval(ScalexError, ValueError):
-    """An interval with lo > hi, or a non-finite endpoint."""
+    """An interval with lo > hi, a non-finite endpoint or a non-finite removed point."""
 
 
 class NegativeEndpoint(ScalexError, ValueError):

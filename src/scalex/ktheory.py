@@ -9,6 +9,8 @@ one K0 generator, open pieces one K1 generator, half-open pieces nothing.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InvalidInterval, NotAdmissible, NotMember
 from .spectra import GeneratorDescriptor, Properness, SpectralSet, _is_numbers, _Record
 
@@ -75,6 +77,8 @@ class PuncturedSet(_Record):
 
     def __post_init__(self):
         pts = tuple(float(x) for x in self.removed)
+        if not all(map(math.isfinite, pts)):
+            raise InvalidInterval(f"removed points must be finite, got {list(pts)}")
         if len(set(pts)) != len(pts):
             raise NotMember("removed points must be pairwise distinct")
         for x in pts:

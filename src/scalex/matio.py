@@ -54,6 +54,8 @@ def load_matrix(path: str) -> np.ndarray:
             if cols:
                 # interleaved re, im doubles are the memory layout of complex128
                 out[r] = np.array(",".join(fields).split(","), dtype=float).view(complex)
+        if fh.read().strip():
+            raise DimensionMismatch(f"{path}: more than the {rows} rows its header declares")
     _require_finite(out, path)
     return out
 

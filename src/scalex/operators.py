@@ -152,7 +152,7 @@ def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
     return normalize(intervals)
 
 
-def estimate_spectrum(x: np.ndarray, cluster_tol: float) -> SpectralSet:
+def estimate_spectrum(x: np.ndarray, cluster_tol: float = 1e-8) -> SpectralSet:
     """Singular values of x, clustered into intervals of width <= the gaps.
 
     Values closer than cluster_tol coalesce; each cluster becomes the interval

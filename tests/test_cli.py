@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import inspect
 import json
 import os
 import re
@@ -9,6 +12,8 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from scalex.cli import main
+from scalex.operators import classify_properness, estimate_spectrum, infinite_projection_witness
+from scalex.wold import wold_decompose
 
 POINTS_01 = '{"intervals": [[0,0],[1,1]]}'
 POINTS_0H1 = '{"intervals": [[0,0],[0.5,0.5],[1,1]]}'
@@ -27,6 +32,17 @@ REQUIRED = {
     "kgroups": ["--spec", "x"], "synth": ["--spec", "x"], "wold": ["--in", "x"], "verify": ["--in", "x"],
     "witness": ["--in", "x", "--gap", "0.5"], "specestimate": ["--in", "x"],
 }
+
+# each lab tolerance flag, and the lab call whose signature holds its default
+TOLERANCE_FLAGS = [
+    ("wold", "--tol", wold_decompose),
+    ("witness", "--tol", infinite_projection_witness),
+    ("witness", "--cluster-tol", infinite_projection_witness),
+    ("specestimate", "--cluster-tol", estimate_spectrum),
+    ("synth", "--cluster-tol", estimate_spectrum),
+    ("verify", "--tol", classify_properness),
+    ("verify", "--gap-tol", classify_properness),
+]
 
 
 def run(capsys, *argv):
@@ -386,14 +402,52 @@ class TestOptionSurface:
         code, rep = run(capsys, "witness", "--in", str(tmp_path / "model.json"), f"--gap={gap}")
         assert code == 3 and rep["kind"] == "NotAdmissible", rep
 
-    def test_verify_tol_is_its_default(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command, flag, call", TOLERANCE_FLAGS, ids=[f"{c}{f}" for c, f, _ in TOLERANCE_FLAGS])
+    def test_tolerance_flag_defaults_to_the_lab_call(self, capsys, tmp_path, command, flag, call):
+        # the report without the flag is the report with the flag at the default of the lab call's signature
         run(capsys, "synth", "--spec", POINTS_0H1, "--properness", "nonproper", "--out", str(tmp_path))
+        default = inspect.signature(call).parameters[flag[2:].replace("-", "_")].default
+        if command == "synth":
+            argv = ["synth", "--spec", POINTS_0H1, "--out", str(tmp_path / "again")]
+        else:
+            argv = [command, "--in", str(tmp_path / "model.json"), *(["--gap", "0.75"] if command == "witness" else [])]
         reports = []
-        for extra in ([], ["--tol", "1e-8"]):
-            code, rep = run(capsys, "verify", "--in", str(tmp_path / "model.json"), *extra)
+        for extra in ([], [flag, repr(default)]):
+            code, rep = run(capsys, *argv, *extra)
             rep.pop("timestamp")
             reports.append((code, rep))
         assert reports[0] == reports[1] and reports[0][0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([], "the following arguments are required: command"),
+            (["nosuch"], "argument command: invalid choice: 'nosuch' (choose from 'classify', 'homcheck', "
+                         "'isocheck', 'kgroups', 'synth', 'wold', 'verify', 'witness', 'specestimate')"),
+        ],
+        ids=["no-subcommand", "unknown-subcommand"],
+    )
+    def test_top_level_usage_error_text(self, capsys, argv, error):
+        assert self.usage_error(capsys, argv)["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [*(([c, *REQUIRED[c]], 1) for c in REQUIRED), ([], 9), (["nosuch"], 9), (["--help"], 9)],
+        ids=[*REQUIRED, "no-subcommand", "unknown-subcommand", "help"],
+    )
+    def test_main_builds_only_the_parser_that_runs(self, capsys, monkeypatch, argv, built):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        with contextlib.suppress(SystemExit):  # --help prints the help and exits
+            main(argv)
+        capsys.readouterr()
+        assert len(names) == built, names
 
     def test_verify_tol_bounds_the_scaling_residual(self, capsys, tmp_path):
         # an entry moved by 1e-5 breaks the scaling identity at 1e-8 but not at 1e-4

@@ -35,6 +35,7 @@ MATRIX_MANGLES = {
     "truncated-row": lambda t: t[: len(t) // 2],
     "header-more-rows": lambda t: t.replace("8 8", "9 8", 1),
     "header-fewer-rows": lambda t: t.replace("8 8", "7 8", 1),
+    "extra-row": lambda t: t + _lines(t)[1] + "\n",
     "header-more-cols": lambda t: t.replace("8 8", "8 9", 1),
     "header-three-numbers": lambda t: t.replace("8 8", "8 8 8", 1),
     "header-not-a-number": lambda t: t.replace("8 8", "8 x", 1),
@@ -135,7 +136,9 @@ def write(path, text):
 def test_mangled_matrix_file(capsys, tmp_path, good_matrix, command, mangle):
     path = tmp_path / "x.mat"
     write(path, MATRIX_MANGLES[mangle](good_matrix))
-    run_cli(capsys, [command, "--in", str(path), *COMMANDS[command]])
+    code, doc = run_cli(capsys, [command, "--in", str(path), *COMMANDS[command]])
+    if mangle == "extra-row":
+        assert code == 2 and doc["kind"] == "DimensionMismatch", doc
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -212,6 +215,8 @@ PUNCTURED_MANGLES = {
     "removed-string": f'{{"base": {GOOD_SPEC}, "removed": "12"}}',
     "removed-bool-entry": f'{{"base": {GOOD_SPEC}, "removed": [true]}}',
     "removed-huge-int": f'{{"base": {GOOD_SPEC}, "removed": [{HUGE}]}}',
+    "removed-nan": f'{{"base": {GOOD_SPEC}, "removed": [NaN]}}',
+    "removed-inf": f'{{"base": {GOOD_SPEC}, "removed": [1e400]}}',
     "base-number": '{"base": 5, "removed": [0.5]}',
 }
 

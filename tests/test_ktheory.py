@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scalex.errors import NotAdmissible, NotMember
+from scalex.errors import InvalidInterval, NotAdmissible, NotMember
 from scalex.ktheory import (
     KGroupResult,
     PuncturedSet,
@@ -68,6 +68,14 @@ class TestPuncturedSet:
     def test_removed_must_be_distinct(self):
         with pytest.raises(NotMember):
             punctured([(0, 1)], [0.5, 0.5])
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_removed_must_be_finite(self, x):
+        # a non-finite point is malformed input, as a non-finite endpoint is, not a non-member
+        with pytest.raises(InvalidInterval):
+            punctured([(0, 1)], [x])
+        with pytest.raises(InvalidInterval):
+            PuncturedSet.from_json({"base": {"intervals": [[0, 1]]}, "removed": [0.5, x]})
 
     def test_json_roundtrip(self):
         p = punctured([(0, 1)], [0.5])

@@ -45,6 +45,19 @@ def test_matrix_truncated_row_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "tail", ["3.0,0.0 4.0,0.0\n", "garbage\n", "\n3.0,0.0 4.0,0.0"], ids=["row", "garbage", "after-a-blank-line"]
+)
+def test_matrix_longer_than_its_header_rejected(tmp_path, tail):
+    path = tmp_path / "bad.mat"
+    path.write_text("2 2\n1.0,0.0 0.0,0.0\n0.0,0.0 1.0,0.0\n" + tail)
+    with pytest.raises(DimensionMismatch):
+        load_matrix(path)
+    # whitespace after the declared rows is no row: save_matrix ends with a newline
+    path.write_text("2 2\n1.0,0.0 0.0,0.0\n0.0,0.0 1.0,0.0\n\n \t\n")
+    assert np.array_equal(load_matrix(path), np.eye(2))
+
+
+@pytest.mark.parametrize(
     "row", ["1.0,0.0,0.0 2.0,0.0", "1.0 2.0,0.0,0.0", ", 2.0,0.0", "1.0, 2.0,0.0", "x,0 2.0,0.0"]
 )
 def test_matrix_field_not_one_pair_rejected(tmp_path, row):
