@@ -34,13 +34,11 @@ EXIT_INADMISSIBLE = 3
 
 def _bind_lab() -> None:
     """Bind the numpy-backed lab as module globals, once, so wrappers put on them stay."""
-    global asdict, np, matio, estimate_spectrum, infinite_projection_witness
+    global asdict, matio, estimate_spectrum, infinite_projection_witness
     global realize, synthesize, wold_decompose, classify_properness
     if "wold_decompose" in globals():
         return
     from dataclasses import asdict
-
-    import numpy as np
 
     from . import matio
     from .operators import classify_properness, estimate_spectrum, infinite_projection_witness
@@ -70,7 +68,7 @@ def _load_json_arg(value: str) -> dict:
     return obj
 
 
-def _load_operand(path: str) -> tuple[np.ndarray, int | None]:
+def _load_operand(path: str) -> tuple[numpy.ndarray, int | None]:
     """A matrix plus its fiber dimension when the input is a model file."""
     _bind_lab()
     if path.endswith(".json"):
@@ -154,7 +152,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
         "depth": model.depth,
         "properness": flag.value,
         "seed": seed,
-        "eigenvalues": [float(v.real) for v in np.diag(model.A)],
+        "eigenvalues": model.A.diagonal().real.tolist(),
         "estimated_spectrum": estimated.to_json(),
     }
 
@@ -204,10 +202,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """The type of every tolerance flag: a float > 0 (NaN is not)."""
+    """The type of every tolerance flag: a finite float > 0 (NaN is not)."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"tolerances must be > 0, got {text}")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerances must be > 0 and finite, got {text}")
     return value
 
 

@@ -175,10 +175,12 @@ def synthesize(
     estimate are exact) plus seeded uniform interior points.  Proper models
     always carry eigenvalue 1 inside A; non-proper models sample only the part
     away from 0 and 1, which requires the non-proper admissibility of the
-    spectrum.
+    spectrum.  samples_per_interval 0-2 samples only the endpoints; a negative one is refused.
     """
     if depth < 3:
         raise NotAdmissible("synthesis needs depth >= 3")
+    if samples_per_interval < 0:
+        raise NotAdmissible(f"samples_per_interval must be >= 0, got {samples_per_interval}")
     if properness is Properness.NON_PROPER and not nonproper_admissible(spec):
         raise NotAdmissible("spectrum does not admit a non-proper generator")
     rng = np.random.default_rng(seed)

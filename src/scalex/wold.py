@@ -112,11 +112,14 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
 
     fiber_bases: list[np.ndarray] = []
     a_restricted = np.zeros((0, 0), dtype=x.dtype)
-    tail_norm = 0.0
+    stacked = np.zeros((n, 0), dtype=x.dtype)
+    # with no shift summand every fiber residual is exactly 0
+    tail_norm = proj_defect = ortho_defect = commutation = 0.0
 
     if q0_basis.shape[1] > 0:
         # |X Q0| = V0 |X V0| V0* and U0 V0 is the polar isometry of X V0
-        v1, a_restricted = polar(x @ q0_basis, tol)
+        x_q0 = x @ q0_basis
+        v1, a_restricted = polar(x_q0, tol)
         fiber_bases += [q0_basis, v1]
         while True:
             # ||X Q_k X*|| = sigma_max(X V_k)^2 for Q_k = V_k V_k*
@@ -127,8 +130,12 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
             if len(fiber_bases) >= max_steps:
                 raise NoConvergence(f"fiber recursion still alive after {max_steps} steps")
             fiber_bases.append(image)
-
-    stacked = np.hstack(fiber_bases) if fiber_bases else np.zeros((n, 0), dtype=x.dtype)
+        stacked = np.hstack(fiber_bases)
+        proj_defect, ortho_defect = _fiber_defects(stacked, len(fiber_bases))
+        # P1 X - X P1 for P1 = B B*; X V_k = V_{k+1} makes X B the recursion's own
+        # blocks: [X V0, V2 ... V_last, the image the tail cut rejected]
+        bh = stacked.conj().T
+        commutation = opnorm(stacked @ (bh @ x) - np.hstack([x_q0, *fiber_bases[2:], image]) @ bh)
 
     # kernel estimate K, shrunk by whatever the recursion B already claimed:
     # P3 is the cut of K*(I - B B*)K above 1/2, an m x m problem
@@ -145,6 +152,8 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
     w, v = np.linalg.eigh(h)
     p2_basis = v[:, w > 0.5]
     unitary_part = p2_basis.conj().T @ x @ p2_basis
+    # U*U - I and UU* - I share the eigenvalues sigma^2 - 1 of the k x k block U
+    sigma = np.linalg.svd(unitary_part, compute_uv=False) if unitary_part.size else np.zeros(0)
 
     report = WoldReport(
         dimension=n,
@@ -156,8 +165,17 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
         boundary_overlap_rank=overlap,
         boundary_q_index=len(fiber_bases) - 1 if overlap > 0 and fiber_bases else None,
     )
-    completeness = float(np.max(np.abs((w > 0.5) - w)))
-    report.residuals = _diagnostics(x, report, stacked, defect_norm, completeness, tail_norm)
+    report.residuals = {
+        "scaling_defect": defect_norm,
+        "projection_defect": proj_defect,
+        "orthogonality_defect": ortho_defect,
+        "completeness_defect": float(np.max(np.abs((w > 0.5) - w))),
+        "unitarity_defect": float(np.max(np.abs(sigma**2 - 1), initial=0.0)),
+        "commutation_defect": commutation,
+        "reconstruction_defect": opnorm(reconstruct(report) - x),
+        "boundary_overlap_rank": float(overlap),
+        "rejected_tail_norm": tail_norm,
+    }
     return report
 
 
@@ -168,9 +186,7 @@ def _fiber_defects(stacked: np.ndarray, fibers: int) -> tuple[float, float]:
     the eigenvalues g of the block G_kk, and ||Q_i Q_j|| is the norm of
     G_ii^(1/2) G_ij G_jj^(1/2); every block is r x r.
     """
-    if fibers == 0:
-        return 0.0, 0.0
-    # the recursion yields either no fibers or at least two, all of rank r
+    # the recursion yields at least two fibers, all of rank r
     r = stacked.shape[1] // fibers
     gram = stacked.conj().T @ stacked
     blocks = gram.reshape(fibers, r, fibers, r).transpose(0, 2, 1, 3)
@@ -182,25 +198,6 @@ def _fiber_defects(stacked: np.ndarray, fibers: int) -> tuple[float, float]:
     cross = root[i] @ blocks[i, j] @ root[j]
     ortho_defect = float(np.max(np.linalg.svd(cross, compute_uv=False)))
     return proj_defect, ortho_defect
-
-
-def _diagnostics(x, report, stacked, defect_norm, completeness, tail_norm) -> dict[str, float]:
-    proj_defect, ortho_defect = _fiber_defects(stacked, len(report.fiber_bases))
-    xc, k = report.unitary_part, report.unitary_rank
-    unit_defect = max(opnorm(xc.conj().T @ xc - np.eye(k)), opnorm(xc @ xc.conj().T - np.eye(k)))
-    bh = stacked.conj().T
-    return {
-        "scaling_defect": defect_norm,
-        "projection_defect": proj_defect,
-        "orthogonality_defect": ortho_defect,
-        "completeness_defect": completeness,
-        "unitarity_defect": unit_defect,
-        # P1 X - X P1 for P1 = B B*, formed from the bases
-        "commutation_defect": opnorm(stacked @ (bh @ x) - (x @ stacked) @ bh),
-        "reconstruction_defect": opnorm(reconstruct(report) - x),
-        "boundary_overlap_rank": float(report.boundary_overlap_rank),
-        "rejected_tail_norm": tail_norm,
-    }
 
 
 def reconstruct(r: WoldReport) -> np.ndarray:

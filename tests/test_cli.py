@@ -191,6 +191,12 @@ class TestPipeline:
         )
         assert code == 3 and rep["kind"] == "NotAdmissible"
 
+    def test_synth_negative_samples_exits_3_and_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        code, rep = run(capsys, "synth", "--spec", POINTS_0H1, "--samples", "-1", "--out", str(out))
+        assert code == 3 and rep["kind"] == "NotAdmissible"
+        assert not out.exists()
+
     # spectrum, synth flags, witness flags: a gap at every cut but 0.5, and a spectrum covering (0, 1)
     SWEEPS = [
         (POINTS_0H1, ["--depth", "6", "--samples", "4"], []),
@@ -273,12 +279,13 @@ class TestBadOperands:
         assert code == 2 and doc["kind"] == kind
 
 
-    @pytest.mark.parametrize("value", ["0", "nan"])
+    @pytest.mark.parametrize("value", ["0", "nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol", "--gap-tol"])
     def test_non_positive_tolerance_exits_2(self, capsys, flag, value):
-        # every subcommand that declares the flag refuses the value before it reads its input
+        # every subcommand that declares the flag refuses the value before it reads its input;
+        # the --flag=value form, since argparse takes a separate "-inf" for a flag
         for command in (command for command, flags in DECLARED.items() if flag in flags):
-            code = main([command, *REQUIRED[command], flag, value])
+            code = main([command, *REQUIRED[command], f"{flag}={value}"])
             out = capsys.readouterr().out
             doc, end = json.JSONDecoder().raw_decode(out)
             assert out[end:].strip() == ""

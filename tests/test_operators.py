@@ -192,6 +192,13 @@ class TestSynthesize:
         with pytest.raises(NotAdmissible):
             synthesize(spectrum((0, 0), (1, 1)), Properness.PROPER, 2)
 
+    def test_negative_samples_refused(self):
+        # 0 to 2 samples take only the endpoints; fewer than 0 is no count at all
+        s = spectrum((0, 0), (0.3, 0.6), (1, 1))
+        assert np.array_equal(synthesize(s, Properness.PROPER, 5, 0).A, synthesize(s, Properness.PROPER, 5, 2).A)
+        with pytest.raises(NotAdmissible):
+            synthesize(s, Properness.PROPER, 5, -1)
+
     def test_deterministic_per_seed(self):
         s = spectrum((0, 0), (0.25, 0.75), (1, 1))
         m1 = synthesize(s, Properness.PROPER, 5, 6, seed=42)

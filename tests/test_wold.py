@@ -272,27 +272,35 @@ class TestFiberBasisRecursion:
         assert_report_matches(got, dense_reference(x, tol=0.55))
 
     @staticmethod
-    def square_factorizations(monkeypatch, x) -> int:
-        """Calls of svd/eigh/eigvalsh/eigvals/norm(., 2) on n x n operands."""
-        n = x.shape[0]
-        count = 0
+    def factorizations(monkeypatch, x) -> list[tuple[str, tuple]]:
+        """(kind, shape) of each svd/eigh/eigvalsh/eigvals/norm(., 2) call of wold_decompose(x).
 
-        def counted(fn, is_norm=False):
+        A values-only SVD is "svdvals" and a spectral norm "norm2".
+        """
+        calls = []
+
+        def counted(fn, name):
             def wrapper(a, *args, **kwargs):
-                nonlocal count
-                ord_ = args[0] if args else kwargs.get("ord")
-                if np.shape(a)[-2:] == (n, n) and (not is_norm or ord_ == 2):
-                    count += 1
+                kind = name
+                if name == "norm":
+                    kind = "norm2" if (args[0] if args else kwargs.get("ord")) == 2 else None
+                elif name == "svd" and not kwargs.get("compute_uv", True):
+                    kind = "svdvals"
+                if kind:
+                    calls.append((kind, np.shape(a)))
                 return fn(a, *args, **kwargs)
 
             return wrapper
 
-        for name in ("svd", "eigh", "eigvalsh", "eigvals"):
-            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-        monkeypatch.setattr(np.linalg, "norm", counted(np.linalg.norm, is_norm=True))
+        for name in ("svd", "eigh", "eigvalsh", "eigvals", "norm"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), name))
         wold_decompose(x)
         monkeypatch.undo()
-        return count
+        return calls
+
+    def square_factorizations(self, monkeypatch, x) -> list[str]:
+        """The kinds of the calls on n x n operands, sorted."""
+        return sorted(kind for kind, shape in self.factorizations(monkeypatch, x) if shape[-2:] == x.shape)
 
     def test_factorization_count_independent_of_depth(self, monkeypatch):
         a = np.diag([0.4, 0.8]).astype(complex)
@@ -305,7 +313,26 @@ class TestFiberBasisRecursion:
         # one SVD shared by the boundary test, the scaling residual, q0 and the
         # kernel basis; one eigh for the unitary summand and completeness; the
         # commutation and reconstruction norms
-        assert counts[0] == counts[1] == 4
+        assert counts[0] == counts[1] == ["eigh", "norm2", "norm2", "svd"]
+
+    def test_unitary_input_takes_four_factorizations(self, monkeypatch, rng):
+        # no shift summand, so no commutation norm; the unitarity defect is read
+        # from the singular values of the n x n unitary block
+        kinds = self.square_factorizations(monkeypatch, conjugate_random(random_unitary(6, rng), 3))
+        assert kinds == ["eigh", "norm2", "svd", "svdvals"]
+
+    def test_unitary_block_takes_one_values_only_svd(self, monkeypatch, rng):
+        # shift (fibers of rank 2, kernel 3 with the extra zero) + 4 x 4 unitary + zero:
+        # the unitary block is the only 4 x 4 operand the call factorizes
+        x = np.zeros((13, 13), dtype=complex)
+        x[:8, :8] = realize(TruncatedShiftModel(2, 4, random_positive_definite(rng, 2)))
+        x[8:12, 8:12] = random_unitary(4, rng)
+        x = conjugate_random(x, 5)
+        r = wold_decompose(x)
+        assert (r.q_ranks, r.unitary_rank, r.kernel_rank) == ([2] * 4, 4, 1)
+        calls = self.factorizations(monkeypatch, x)
+        assert [kind for kind, shape in calls if shape == (4, 4)] == ["svdvals"]
+        assert self.square_factorizations(monkeypatch, x) == ["eigh", "norm2", "norm2", "svd"]
 
 
 @pytest.mark.parametrize("x", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(4)], ids=["empty", "2x3", "1-d"])
