@@ -34,10 +34,6 @@ _LAB = {
         "estimate_spectrum", "infinite_projection_witness", "realize", "scaling_defect", "synthesize",
     ),
     "wold": ("WoldReport", "polar", "reconstruct", "wold_decompose"),
-    "pairs": (
-        "SampledFunction", "SampledPairRep", "defect_projection", "function_action",
-        "matrix_units", "pair_relation_check", "shift_action",
-    ),
 }
 
 __version__ = "0.1.0"

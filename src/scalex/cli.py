@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -196,6 +197,11 @@ def cmd_specestimate(args: argparse.Namespace) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValueError, so they end in the same JSON error report as bad input."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number, "-1e-3" and "-inf" among them, is a flag's value, not an unknown flag
+        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|nan)$", re.I)
 
     def error(self, message):
         raise ValueError(message)

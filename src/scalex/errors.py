@@ -40,10 +40,6 @@ class NotAdmissible(AdmissibilityError):
     """A spectrum/flag combination ruled out by the classification."""
 
 
-class NotIsolated(AdmissibilityError):
-    """The marked point is not isolated, so its indicator is ill-defined."""
-
-
 class NoGap(AdmissibilityError):
     """No spectral gap at the requested cut point."""
 
@@ -58,8 +54,4 @@ class NoConvergence(AdmissibilityError):
 
 class IllConditioned(AdmissibilityError):
     """Singular values fall inside the ambiguity band of a threshold test."""
-
-
-class IndexOutOfDepth(ScalexError, IndexError):
-    """A matrix-unit index beyond the truncation depth."""
 

@@ -245,20 +245,21 @@ def test_c6_witness():
 
 @criterion(7, "matrix-unit relations at desk scale")
 def test_c7_matrix_units():
-    from scalex.pairs import SampledPairRep, matrix_units
-
-    sample_sets = [(1.0,), (0.5, 1.0), (0.25, 0.5, 1.0), (0.2, 0.45, 0.7, 1.0)]
-    for samples in sample_sets:
-        for depth in (3, 4, 6):
-            rep = SampledPairRep(samples, len(samples) - 1, depth)
-            idx = range(depth - 1)
-            units = {
-                (n, m): matrix_units(rep, n, m) for n, m in itertools.product(idx, repeat=2)
-            }
-            for (n, m), (k, l) in itertools.product(units, repeat=2):
-                product = units[(n, m)] @ units[(k, l)]
-                want = units[(n, l)] if m == k else np.zeros_like(product)
-                assert opnorm(product - want) <= 1e-10
+    # Coburn's matrix units E_nm = X^n (1 - XX*) X*^m of a conjugated truncated shift obey
+    # E_nm E_kl = delta_mk E_nl for n, m <= depth - 2; with A = I/2 in place of I they must not
+    for fiber, depth in itertools.product(range(1, 5), (3, 4, 6)):
+        worst = {}
+        for weight in (1.0, 0.5):
+            x = conjugate_random(realize(TruncatedShiftModel(fiber, depth, weight * np.eye(fiber))), fiber)
+            powers = [np.linalg.matrix_power(x, n) for n in range(depth - 1)]
+            defect = np.eye(len(x)) - x @ x.conj().T
+            units = {(n, m): powers[n] @ defect @ powers[m].conj().T
+                     for n, m in itertools.product(range(depth - 1), repeat=2)}
+            worst[weight] = max(
+                opnorm(units[n, m] @ units[k, l] - (units[n, l] if m == k else 0))
+                for (n, m), (k, l) in itertools.product(units, repeat=2)
+            )
+        assert worst[1.0] <= 1e-10 < worst[0.5], (fiber, depth, worst)
 
 
 def _k_ranks_oracle(p: PuncturedSet) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import inspect
+import itertools
 import json
 import os
 import re
@@ -279,13 +280,14 @@ class TestBadOperands:
         assert code == 2 and doc["kind"] == kind
 
 
-    @pytest.mark.parametrize("value", ["0", "nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("value", ["0", "nan", "inf", "-inf", "1e400", "-1e-3"])
     @pytest.mark.parametrize("flag", ["--tol", "--cluster-tol", "--gap-tol"])
     def test_non_positive_tolerance_exits_2(self, capsys, flag, value):
-        # every subcommand that declares the flag refuses the value before it reads its input;
-        # the --flag=value form, since argparse takes a separate "-inf" for a flag
-        for command in (command for command, flags in DECLARED.items() if flag in flags):
-            code = main([command, *REQUIRED[command], f"{flag}={value}"])
+        # every subcommand that declares the flag refuses the value before it reads its input,
+        # whether it is given as --flag=value or as a separate token
+        commands = [command for command, flags in DECLARED.items() if flag in flags]
+        for command, spelling in itertools.product(commands, ([f"{flag}={value}"], [flag, value])):
+            code = main([command, *REQUIRED[command], *spelling])
             out = capsys.readouterr().out
             doc, end = json.JSONDecoder().raw_decode(out)
             assert out[end:].strip() == ""
@@ -403,11 +405,13 @@ class TestOptionSurface:
     def test_malformed_command_line_is_one_json_error(self, capsys, argv):
         self.usage_error(capsys, argv)
 
-    @pytest.mark.parametrize("gap", ["0", "1", "1.5", "-2"])
+    @pytest.mark.parametrize("gap", ["0", "1", "1.5", "-2", "-1e-3"])
     def test_finite_gap_outside_the_unit_interval_is_inadmissible(self, capsys, tmp_path, gap):
         run(capsys, "synth", "--spec", POINTS_0H1, "--properness", "nonproper", "--out", str(tmp_path))
-        code, rep = run(capsys, "witness", "--in", str(tmp_path / "model.json"), f"--gap={gap}")
-        assert code == 3 and rep["kind"] == "NotAdmissible", rep
+        for spelling in ([f"--gap={gap}"], ["--gap", gap]):
+            code, rep = run(capsys, "witness", "--in", str(tmp_path / "model.json"), *spelling)
+            assert code == 3 and rep["kind"] == "NotAdmissible", rep
+            assert rep["error"].startswith("gap point must lie in (0, 1)")
 
     @pytest.mark.parametrize("command, flag, call", TOLERANCE_FLAGS, ids=[f"{c}{f}" for c, f, _ in TOLERANCE_FLAGS])
     def test_tolerance_flag_defaults_to_the_lab_call(self, capsys, tmp_path, command, flag, call):

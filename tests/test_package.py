@@ -34,13 +34,12 @@ def test_readme_import_line():
 
 def test_dir_lists_eager_and_lab_names():
     names = dir(scalex)
-    for name in README_NAMES + ["operators", "wold", "pairs", "matrix_units", "WoldReport", "__version__"]:
+    for name in README_NAMES + ["operators", "wold", "WoldReport", "__version__"]:
         assert name in names, name
 
 
 def test_lab_modules_resolve_as_attributes():
     assert scalex.wold.wold_decompose is scalex.wold_decompose
-    assert scalex.pairs.matrix_units is scalex.matrix_units
 
 
 def test_star_import_still_exports_the_lab():
@@ -97,7 +96,14 @@ for argv, want in {EXACT_ENGINE_CALLS!r}:
     assert not set(child_modules(code)) - set(preloaded)
 
 
-@pytest.mark.parametrize("name", ["PiecewiseFunction", "functional_calculus", "UndefinedAt", "q_projections"])
+RETIRED = [
+    "PiecewiseFunction", "functional_calculus", "UndefinedAt", "q_projections",
+    "pairs", "SampledFunction", "SampledPairRep", "defect_projection", "function_action",
+    "matrix_units", "pair_relation_check", "shift_action", "NotIsolated", "IndexOutOfDepth",
+]
+
+
+@pytest.mark.parametrize("name", RETIRED)
 def test_retired_names_are_gone(name):
     assert name not in scalex.__all__
     assert name not in dir(scalex)
