@@ -129,7 +129,7 @@ def cmd_kgroups(args: argparse.Namespace) -> dict:
     else:
         result = k_of_functions(PuncturedSet(SpectralSet.from_json(obj)))
         kind = "spectral-set"
-    return {"k0": result.k0_rank, "k1": result.k1_rank, "input_kind": kind}
+    return {**result.to_json(), "input_kind": kind}
 
 
 def cmd_synth(args: argparse.Namespace) -> dict:
@@ -178,10 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 def cmd_witness(args: argparse.Namespace) -> dict:
     x, _ = _load_operand(getattr(args, "in"))
     u, report = infinite_projection_witness(x, args.gap, **_tolerances_given(args))
-    out = {
-        **asdict(report),
-        "infinite_projection_witnessed": bool(report.dominated and report.norm_difference >= 0.5),
-    }
+    out = asdict(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         upath = os.path.join(args.out, "witness.mat")

@@ -17,8 +17,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteEntry
-from .operators import TruncatedShiftModel
+from .errors import DimensionMismatch
+from .operators import TruncatedShiftModel, _require_finite
 from .spectra import _is_numbers
 
 __all__ = ["save_matrix", "load_matrix", "save_model", "load_model"]
@@ -56,14 +56,7 @@ def load_matrix(path: str) -> np.ndarray:
                 out[r] = np.array(",".join(fields).split(","), dtype=float).view(complex)
         if fh.read().strip():
             raise DimensionMismatch(f"{path}: more than the {rows} rows its header declares")
-    _require_finite(out, path)
-    return out
-
-
-def _require_finite(m: np.ndarray, path: str) -> None:
-    if not np.isfinite(m).all():
-        r, c = np.argwhere(~np.isfinite(m))[0]
-        raise NonFiniteEntry(f"{path}: entry ({r}, {c}) is {m[r, c]}")
+    return _require_finite(out, path)
 
 
 def _entry_to_json(z: complex):

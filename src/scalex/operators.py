@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     IllConditioned,
     NoGap,
+    NonFiniteEntry,
     NotAdmissible,
     NotScalinglike,
 )
@@ -58,9 +59,24 @@ def require_square(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _operand(x) -> np.ndarray:
-    """x checked square, as float64 when its imaginary part is exactly zero, else complex128."""
-    x = require_square(np.asarray(x, dtype=complex))
+def _require_finite(m: np.ndarray, where: str) -> np.ndarray:
+    """m itself, once every entry is checked finite; else :class:`NonFiniteEntry` naming the first."""
+    if not np.isfinite(m).all():
+        r, c = np.argwhere(~np.isfinite(m))[0]
+        raise NonFiniteEntry(f"{where}: entry ({r}, {c}) is {m[r, c]}")
+    return m
+
+
+def _operand(x, **tolerances: float) -> np.ndarray:
+    """x checked square and finite, as float64 when its imaginary part is exactly zero, else complex128.
+
+    Each named tolerance must be finite and > 0.  Every refusal comes before any
+    factorization: LAPACK may not return on a non-finite matrix.
+    """
+    x = _require_finite(require_square(np.asarray(x, dtype=complex)), "operand")
+    for name, value in tolerances.items():
+        if not 0 < value < np.inf:  # NaN is not
+            raise NotAdmissible(f"{name} must be > 0 and finite, got {value}")
     return x if x.imag.any() else np.ascontiguousarray(x.real)
 
 
@@ -83,6 +99,7 @@ class TruncatedShiftModel:
             raise NotAdmissible("need fiber_dim >= 1 and depth >= 2")
         if a.shape != (self.fiber_dim, self.fiber_dim):
             raise NotAdmissible(f"A must be {self.fiber_dim}x{self.fiber_dim}, got {a.shape}")
+        _require_finite(a, "A")
         if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
             raise NotAdmissible("A must be Hermitian within 1e-12")
         if np.min(np.linalg.eigvalsh(a)) <= 0.0:
@@ -138,8 +155,6 @@ def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect
 
 def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
     """Values s clustered into intervals: values closer than cluster_tol coalesce."""
-    if not cluster_tol > 0:  # NaN is not
-        raise NotAdmissible("cluster_tol must be > 0")
     values = np.sort(s).tolist()
     intervals = []
     lo = hi = values[0]
@@ -159,7 +174,7 @@ def estimate_spectrum(x: np.ndarray, cluster_tol: float = 1e-8) -> SpectralSet:
     [min, max], so exact multiple values come back as points.  An empty or
     non-square x raises :class:`DimensionMismatch`.
     """
-    return _clusters(np.linalg.svd(_operand(x), compute_uv=False), cluster_tol)
+    return _clusters(np.linalg.svd(_operand(x, cluster_tol=cluster_tol), compute_uv=False), cluster_tol)
 
 
 def synthesize(
@@ -212,18 +227,20 @@ class PropernessVerdict:
     boundary_localized: bool | None
 
 
-def _factor(x, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+def _factor(x, tol: float,
+            **tolerances: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """The lab's one prelude: the operand X, its SVD L, s, V*, the cross product V* L and the rank.
 
     rank counts the s above tol, so the right support is the prefix V*[:rank].
     The scaling residual R = (X*X)X - X has V* R V = (S^2 - I)(V* L) S: the gate,
     the residual and the support differences are all blocks of V* L.  Refusals,
     in this order: :class:`DimensionMismatch` (x empty or non-square),
-    :class:`NotAdmissible` (tol leaves a nonzero X no support) and
+    :class:`NonFiniteEntry`, :class:`NotAdmissible` (tol or one of the caller's
+    ``tolerances`` not finite and > 0, or tol leaves a nonzero X no support) and
     :class:`NotScalinglike` (R's rows on the right support exceed tol in norm;
     the test is basis-free, so it survives unitary conjugation).
     """
-    x = _operand(x)
+    x = _operand(x, tol=tol, **tolerances)
     left, s, vh = np.linalg.svd(x)
     rank = np.count_nonzero(s > tol)
     if not rank and s[0] > 0:
@@ -272,7 +289,7 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1,
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
     One SVD of X serves every test and the residual fields; fiber_dim feeds only boundary_localized.
     """
-    u, s, vh, cross, rank = _factor(x, tol)[1:]  # the operand is not needed past its SVD
+    u, s, vh, cross, rank = _factor(x, tol, gap_tol=gap_tol)[1:]  # the operand is not needed past its SVD
     if not _shift_basis(u[:, rank:], vh[rank:].conj().T).shape[1]:
         raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
@@ -298,6 +315,7 @@ class WitnessReport:
     projection_defect: float
     dominated: bool
     norm_difference: float
+    infinite_projection_witnessed: bool
 
 
 def infinite_projection_witness(
@@ -309,13 +327,13 @@ def infinite_projection_witness(
     """Build the partial isometry witnessing an infinite projection.
 
     With c a gap point of the estimated spectrum, U = X g(|X|) for
-    g(t) = 1/t above c and 0 below; compressed onto the right support of X,
-    U*U is a projection strictly dominating UU*.  The refusals of :func:`_factor`
-    come first, then :class:`NoGap` when c lies in the clustered spectrum.
+    g(t) = 1/t above c and 0 below; compressed onto the right support of X, U*U
+    is a projection dominating UU*, strictly (the witness) when norm_difference >= 1/2.
+    The refusals of :func:`_factor` come first, then :class:`NoGap` when c lies in the clustered spectrum.
     """
     if not (0.0 < c < 1.0):
         raise NotAdmissible(f"gap point must lie in (0, 1), got {c}")
-    left, s, vh, cross, rank = _factor(x, tol)[1:]
+    left, s, vh, cross, rank = _factor(x, tol, cluster_tol=cluster_tol)[1:]
     if _clusters(s, cluster_tol).contains(c):
         raise NoGap(f"{c} lies in the estimated spectrum")
 
@@ -326,8 +344,8 @@ def infinite_projection_witness(
     w = _support_difference(cross[:rank, :k], np.arange(rank) < k)
     del cross  # before U, the other n x n array of the call
     u = (left[:, :k] @ vh[:k]).astype(complex, copy=False)
-    dominated = bool(np.max(w, initial=0.0) <= tol)
-    return u, WitnessReport(c, 0.0, dominated, float(np.max(np.abs(w), initial=0.0)))
+    dominated, difference = bool(np.max(w, initial=0.0) <= tol), float(np.max(np.abs(w), initial=0.0))
+    return u, WitnessReport(c, 0.0, dominated, difference, dominated and difference >= 0.5)
 
 
 def random_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:

@@ -221,6 +221,7 @@ def test_c6_witness():
         assert rep.projection_defect <= 1e-8
         assert rep.dominated
         assert rep.norm_difference >= 0.5
+        assert rep.infinite_projection_witnessed
 
     for covering in (spectrum((0, 1)), spectrum((0, 2)), spectrum((0, 1), (2, 2))):
         assert not has_infinite_projection(covering)

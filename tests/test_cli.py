@@ -498,6 +498,15 @@ class TestDeterminism:
         )
         assert code == 0 and rep["seed"] == 77
 
+    def test_env_seed_is_read_without_the_flag_and_yields_to_it(self, capsys, tmp_path, monkeypatch):
+        args = ["synth", "--spec", '{"intervals": [[0,0],[0.25,0.75],[1,1]]}', "--depth", "4", "--samples", "6"]
+        _, flagged = run(capsys, *args, "--seed", "5", "--out", str(tmp_path / "flag"))
+        monkeypatch.setenv("SCALEX_SEED", "5")
+        _, from_env = run(capsys, *args, "--out", str(tmp_path / "env"))
+        assert (from_env["seed"], from_env["eigenvalues"]) == (5, flagged["eigenvalues"])
+        _, overridden = run(capsys, *args, "--seed", "7", "--out", str(tmp_path / "both"))
+        assert overridden["seed"] == 7 and overridden["eigenvalues"] != flagged["eigenvalues"]
+
 
 def test_timestamp_is_utc_now(capsys):
     _, rep = run(capsys, "classify", "--spec", POINTS_01)

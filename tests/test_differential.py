@@ -120,6 +120,7 @@ def assert_witnesses_follow_the_engine(x, spectrum, values):
         c = (hi + lo) / 2
         _, rep = infinite_projection_witness(x, c, cluster_tol=cluster_tol)
         witnessed.append(rep.projection_defect <= 1e-8 and rep.dominated and rep.norm_difference >= 0.5)
+        assert rep.infinite_projection_witnessed is (rep.dominated and rep.norm_difference >= 0.5)
     assert all(witnessed)
     assert bool(witnessed) is has_infinite_projection(spectrum)
     if not witnessed:

@@ -95,6 +95,7 @@ def test_witness_matches_reference_at_a_gap_point(flag, seed, per_slot, c):
     assert abs(rep.projection_defect - want[1]) <= 1e-10
     assert abs(rep.norm_difference - want[3]) <= 1e-10
     assert rep.dominated and rep.norm_difference >= 0.5
+    assert rep.infinite_projection_witnessed
 
 
 @pytest.mark.parametrize("flag, seed, per_slot", CASES)

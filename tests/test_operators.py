@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from scalex import operators
-from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NotAdmissible, NotScalinglike
+from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NonFiniteEntry, NotAdmissible, NotScalinglike
 from scalex.operators import (
     _factor,
     _shift_basis,
@@ -18,6 +20,7 @@ from scalex.operators import (
     synthesize,
 )
 from scalex.spectra import Properness, ScalingSpectrum
+from scalex.wold import wold_decompose
 
 from conftest import (
     PiecewiseFunction,
@@ -40,6 +43,19 @@ def diag_model(n, *weights):
 
 def spectrum(*pairs):
     return ScalingSpectrum.from_intervals(pairs)
+
+
+@pytest.fixture
+def unfactored(monkeypatch):
+    """Fail a call that reaches a dense factorization: a refusal that comes too late fails, and cannot hang."""
+    def factored(*args, **kwargs):
+        raise AssertionError("the operand was factored before its refusal")
+
+    for name in ("svd", "eigh", "eigvalsh", "qr", "norm"):
+        monkeypatch.setattr(np.linalg, name, factored)
+
+
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 
 
 def assert_spectrum_close(est, expected_points, tol=1e-9):
@@ -96,6 +112,11 @@ class TestModelValidation:
     def test_rejects_shallow_depth(self):
         with pytest.raises(NotAdmissible):
             diag_model(1, 1.0)
+
+    @NON_FINITE
+    def test_rejects_non_finite_block(self, unfactored, value):
+        with pytest.raises(NonFiniteEntry, match=r"^A: entry \(0, 0\) is "):
+            model(1, 3, [[value]])
 
 
 class TestScalingDefect:
@@ -168,7 +189,9 @@ class TestEstimateSpectrum:
         est = estimate_spectrum(realize(diag_model(4, 0.5)), 0.6)
         assert len(est.intervals) == 1
 
-    @pytest.mark.parametrize("cluster_tol", [0.0, -1e-3, float("nan")], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize(
+        "cluster_tol", [0.0, -1e-3, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"]
+    )
     def test_cluster_tol_must_be_positive(self, cluster_tol):
         with pytest.raises(NotAdmissible):
             estimate_spectrum(realize(diag_model(4, 0.5)), cluster_tol)
@@ -359,6 +382,41 @@ def test_bad_shape_is_a_dimension_mismatch(call, x):
         call(x)
 
 
+@NON_FINITE
+@pytest.mark.parametrize(
+    "call",
+    [estimate_spectrum, scaling_defect, classify_properness, lambda x: infinite_projection_witness(x, 0.5),
+     wold_decompose],
+    ids=["estimate_spectrum", "scaling_defect", "classify_properness", "infinite_projection_witness",
+         "wold_decompose"],
+)
+def test_non_finite_operand_is_refused_before_any_factorization(unfactored, call, value):
+    x = np.eye(3, k=-1)
+    x[2, 1] = value
+    with pytest.raises(NonFiniteEntry, match=r"^operand: entry \(2, 1\) is "):
+        call(x)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("tol", lambda x, v: classify_properness(x, tol=v)),
+        ("gap_tol", lambda x, v: classify_properness(x, gap_tol=v)),
+        ("tol", lambda x, v: infinite_projection_witness(x, 0.5, tol=v)),
+        ("cluster_tol", lambda x, v: infinite_projection_witness(x, 0.5, cluster_tol=v)),
+        ("tol", lambda x, v: wold_decompose(x, tol=v)),
+    ],
+    ids=["classify_properness-tol", "classify_properness-gap_tol", "infinite_projection_witness-tol",
+         "infinite_projection_witness-cluster_tol", "wold_decompose-tol"],
+)
+def test_tolerance_is_refused_unless_finite_and_positive(unfactored, name, call, value):
+    # the weight-1/2 shift, which every call accepts at its default tolerances
+    x = np.diag([0.5, 1.0, 1.0, 1.0, 1.0], k=-1)
+    with pytest.raises(NotAdmissible, match=f"^{name} must be > 0 and finite, got {re.escape(str(value))}$"):
+        call(x, value)
+
+
 class TestFunctionalCalculus:
     def test_identity_function(self, rng):
         h = random_positive_definite(rng, 4)
@@ -403,6 +461,12 @@ class TestWitness:
         x = realize(diag_model(5, *weights))
         with pytest.raises(NoGap):
             infinite_projection_witness(x, 0.5, cluster_tol=0.05)
+
+    @pytest.mark.parametrize("x, witnessed", [(realize(diag_model(6, 0.75)), True), (np.eye(3), False)],
+                             ids=["shift", "identity"])
+    def test_witnessed_is_strict_domination(self, x, witnessed):
+        _, rep = infinite_projection_witness(x, 0.5)
+        assert rep.infinite_projection_witnessed is (rep.dominated and rep.norm_difference >= 0.5) is witnessed
 
     def test_gap_point_outside_unit_interval(self):
         with pytest.raises(NotAdmissible):
