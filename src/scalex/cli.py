@@ -160,13 +160,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
 
 def cmd_wold(args: argparse.Namespace) -> dict:
     x, _ = _load_operand(getattr(args, "in"))
-    report = wold_decompose(x, **_tolerances_given(args)).to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        report["report_path"] = args.out
-    return report
+    return wold_decompose(x, **_tolerances_given(args)).to_json()
 
 
 def cmd_verify(args: argparse.Namespace) -> dict:
@@ -241,8 +235,7 @@ SUBCOMMANDS = {
         "--seed": {"type": int, "help": "falls back to env SCALEX_SEED, then 0"},
         "--out": {"help": "output directory (default: cwd)"},
     }),
-    "wold": (cmd_wold, "run the Wold decomposition on a matrix or model file", ("tol",),
-             {**_IN, "--out": {"help": "also write the report JSON here"}}),
+    "wold": (cmd_wold, "run the Wold decomposition on a matrix or model file", ("tol",), _IN),
     "verify": (cmd_verify, "check the scaling identity and classify properness", ("tol", "gap_tol"), _IN),
     "witness": (cmd_witness, "construct an infinite-projection witness at a gap point", ("tol", "cluster_tol"), {
         **_IN,

@@ -31,7 +31,6 @@ __all__ = [
     "ScalingDefect",
     "WitnessReport",
     "opnorm",
-    "require_square",
     "realize",
     "scaling_defect",
     "estimate_spectrum",
@@ -51,14 +50,6 @@ def opnorm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, 2)) if x.size else 0.0
 
 
-def require_square(x: np.ndarray) -> np.ndarray:
-    """x itself, once checked to be a non-empty square matrix; else :class:`DimensionMismatch`."""
-    shape = np.shape(x)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-        raise DimensionMismatch(f"need a non-empty square matrix, got shape {shape}")
-    return x
-
-
 def _require_finite(m: np.ndarray, where: str) -> np.ndarray:
     """m itself, once every entry is checked finite; else :class:`NonFiniteEntry` naming the first."""
     if not np.isfinite(m).all():
@@ -73,7 +64,10 @@ def _operand(x, **tolerances: float) -> np.ndarray:
     Each named tolerance must be finite and > 0.  Every refusal comes before any
     factorization: LAPACK may not return on a non-finite matrix.
     """
-    x = _require_finite(require_square(np.asarray(x, dtype=complex)), "operand")
+    x = np.asarray(x, dtype=complex)
+    if len(x.shape) != 2 or x.shape[0] != x.shape[1] or x.shape[0] == 0:
+        raise DimensionMismatch(f"need a non-empty square matrix, got shape {x.shape}")
+    x = _require_finite(x, "operand")
     for name, value in tolerances.items():
         if not 0 < value < np.inf:  # NaN is not
             raise NotAdmissible(f"{name} must be > 0 and finite, got {value}")
@@ -135,8 +129,8 @@ def _defect_of_svd(s: np.ndarray, vh: np.ndarray, cross: np.ndarray, fiber_dim: 
     block = (s[off] ** 2 - 1)[:, None] * cross[off] * s
     if fiber_dim is None:
         return ScalingDefect(opnorm(block), None)
-    if len(s) % fiber_dim:
-        raise NotAdmissible(f"dimension {len(s)} is not a multiple of fiber_dim {fiber_dim}")
+    if fiber_dim < 1 or len(s) % fiber_dim:
+        raise NotAdmissible(f"fiber_dim {fiber_dim} is < 1 or dimension {len(s)} is not a multiple of it")
     # R's rows outside the last slot are vh[off, :n - d]* block up to unitaries; a QR keeps them thin
     rows = np.linalg.qr(vh[off, : len(s) - fiber_dim].conj().T, mode="r") @ block
     return ScalingDefect(opnorm(block), _opnorm_at_most(rows, BOUNDARY_TOL))

@@ -141,9 +141,6 @@ class SpectralSet(_Record):
         lo, hi = self.intervals[self.interval_index_of(x)]
         return lo == hi
 
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def to_json(self) -> dict:
         return {"intervals": [[lo, hi] for lo, hi in self.intervals]}
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NotAdmissible
 from .operators import opnorm, _defect_of_svd, _factor, _shift_basis
 
 __all__ = ["WoldReport", "polar", "wold_decompose", "reconstruct"]
@@ -29,6 +29,8 @@ __all__ = ["WoldReport", "polar", "wold_decompose", "reconstruct"]
 
 def polar(x: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition x = u p with u a partial isometry and p = |x|, in x's dtype."""
+    if not 0 < tol < np.inf:  # NaN is not
+        raise NotAdmissible(f"tol must be > 0 and finite, got {tol}")
     u_, s, vh = np.linalg.svd(np.asarray(x), full_matrices=False)
     keep = s > tol
     u = u_[:, keep] @ vh[keep, :]

@@ -22,11 +22,11 @@ FULL_01 = '{"intervals": [[0,1]]}'
 ZERO_TAIL = '{"intervals": [[0,0],[0.5,1]]}'
 
 
-# the tolerance and seed flags each subcommand declares, and arguments that satisfy its required flags
+# the tolerance, seed and --out flags each subcommand declares, and arguments that satisfy its required flags
 DECLARED = {
     "classify": set(), "homcheck": set(), "isocheck": set(), "kgroups": set(),
-    "synth": {"--seed", "--cluster-tol"}, "wold": {"--tol"}, "verify": {"--tol", "--gap-tol"},
-    "witness": {"--tol", "--cluster-tol"}, "specestimate": {"--cluster-tol"},
+    "synth": {"--seed", "--cluster-tol", "--out"}, "wold": {"--tol"}, "verify": {"--tol", "--gap-tol"},
+    "witness": {"--tol", "--cluster-tol", "--out"}, "specestimate": {"--cluster-tol"},
 }
 REQUIRED = {
     "classify": ["--spec", "x"], "homcheck": ["--from", "x", "--to", "x"], "isocheck": ["--from", "x", "--to", "x"],
@@ -123,6 +123,12 @@ class TestHomIso:
         code, _ = run(capsys, "homcheck", "--from", "{broken", "--to", descriptor(POINTS_01))
         assert code == 2
 
+    @pytest.mark.parametrize("proper", [{}, {"proper": "true"}], ids=["missing", "string"])
+    def test_descriptor_without_boolean_proper_exits_2(self, capsys, proper):
+        source = json.dumps({"spectrum": json.loads(POINTS_01), **proper})
+        code, rep = run(capsys, "homcheck", "--from", source, "--to", descriptor(POINTS_01))
+        assert code == 2 and rep["kind"] == "InvalidInterval", rep
+
 
 class TestKgroups:
     def test_descriptor_input(self, capsys):
@@ -137,6 +143,11 @@ class TestKgroups:
     def test_plain_spectral_set(self, capsys):
         code, rep = run(capsys, "kgroups", "--spec", POINTS_01)
         assert code == 0 and (rep["k0"], rep["k1"]) == (2, 0)
+
+    def test_removed_point_must_be_a_number(self, capsys):
+        spec = json.dumps({"base": {"intervals": [[0, 1]]}, "removed": [True]})
+        code, rep = run(capsys, "kgroups", "--spec", spec)
+        assert code == 2 and rep["kind"] == "InvalidInterval", rep
 
 
 class TestPipeline:
@@ -354,12 +365,12 @@ class TestBadOperands:
 
 
 class TestOptionSurface:
-    """Each subcommand accepts exactly the tolerance and seed flags its call reads."""
+    """Each subcommand accepts exactly the tolerance, seed and output flags its call reads."""
 
     UNDECLARED = [
         (command, flag)
         for command, flags in DECLARED.items()
-        for flag in ("--tol", "--cluster-tol", "--gap-tol", "--seed")
+        for flag in ("--tol", "--cluster-tol", "--gap-tol", "--seed", "--out")
         if flag not in flags
     ]
 

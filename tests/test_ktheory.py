@@ -77,6 +77,12 @@ class TestPuncturedSet:
         with pytest.raises(InvalidInterval):
             PuncturedSet.from_json({"base": {"intervals": [[0, 1]]}, "removed": [0.5, x]})
 
+    @pytest.mark.parametrize("x", [0.5, 2])
+    def test_without_a_non_member(self, x):
+        # 0.5 is already removed, 2 was never in the base
+        with pytest.raises(NotMember):
+            punctured([(0, 1)], [0.5]).without(x)
+
     def test_json_roundtrip(self):
         p = punctured([(0, 1)], [0.5])
         assert PuncturedSet.from_json(p.to_json()) == p
@@ -138,6 +144,10 @@ class TestKOfQuotientAlgebra:
     def test_noncompact_remainder_rejected(self):
         with pytest.raises(NotAdmissible):
             k_of_quotient_algebra(punctured([(0, 0.5), (1, 1)], [0]), 1)
+
+    def test_marked_point_must_be_member(self):
+        with pytest.raises(NotMember):
+            k_of_quotient_algebra(punctured([(0.5, 0.5), (1, 1)]), 0.75)
 
 
 class TestKOfGenerator:

@@ -207,6 +207,13 @@ class TestSynthesize:
         m = synthesize(spectrum((0, 0), (0.5, 0.5), (1, 1)), Properness.NON_PROPER, 4, 1)
         assert np.array_equal(m.A, np.array([[0.5]], dtype=complex))
 
+    def test_proper_adds_the_weight_one_once(self):
+        # 1 lies inside [0.5, 2] but is not sampled there, so a proper model appends it
+        m = synthesize(spectrum((0, 0), (0.5, 2)), Properness.PROPER, 4, 3, seed=0)
+        eigs = np.diag(m.A).real.tolist()
+        assert eigs == sorted(eigs) and eigs.count(1.0) == 1 and (eigs[0], eigs[-1]) == (0.5, 2.0)
+        assert classify_properness(realize(m), fiber_dim=m.fiber_dim).verdict is Properness.PROPER
+
     def test_nonproper_rejected_when_inadmissible(self):
         with pytest.raises(NotAdmissible):
             synthesize(spectrum((0, 0), (0.5, 1)), Properness.NON_PROPER, 6)
@@ -314,6 +321,13 @@ class TestClassifyProperness:
         with pytest.raises(NotAdmissible, match="not a multiple"):
             classify_properness(realize(diag_model(5, 0.5)), fiber_dim=2)
 
+    @pytest.mark.parametrize("call", [scaling_defect, classify_properness])
+    @pytest.mark.parametrize("fiber_dim", [0, -1])
+    def test_fiber_dim_below_one_is_refused(self, call, fiber_dim):
+        # 0 would divide by zero, and -1 divides every dimension yet names no slot
+        with pytest.raises(NotAdmissible, match=f"^fiber_dim {fiber_dim} is < 1 "):
+            call(realize(diag_model(4, 0.5)), fiber_dim=fiber_dim)
+
     def test_one_svd_per_call(self, monkeypatch):
         # the shift-summand test reuses the verdict's SVD
         calls = []
@@ -371,14 +385,22 @@ def test_shift_summand_test_is_the_half_cut_of_right_minus_left_support(seed):
     assert opnorm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-12
     assert opnorm(basis @ basis.conj().T - cut @ cut.conj().T) <= 1e-12
 
-@pytest.mark.parametrize("x", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(4)], ids=["empty", "2x3", "1-d"])
+@pytest.mark.parametrize(
+    "x",
+    [np.zeros((0, 0)), np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2)), np.full((2, 3), np.nan)],
+    ids=["empty", "2x3", "1-d", "3-d", "2x3-nan"],
+)
 @pytest.mark.parametrize(
     "call",
-    [scaling_defect, classify_properness, lambda x: estimate_spectrum(x, 1e-8)],
-    ids=["scaling_defect", "classify_properness", "estimate_spectrum"],
+    [scaling_defect, classify_properness, lambda x: estimate_spectrum(x, 1e-8),
+     lambda x: infinite_projection_witness(x, 0.5), wold_decompose],
+    ids=["scaling_defect", "classify_properness", "estimate_spectrum", "infinite_projection_witness",
+         "wold_decompose"],
 )
 def test_bad_shape_is_a_dimension_mismatch(call, x):
-    with pytest.raises(DimensionMismatch):
+    # the shape is checked before the entries: a 2x3 matrix of NaN is a shape error
+    message = f"need a non-empty square matrix, got shape {x.shape}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         call(x)
 
 

@@ -100,6 +100,7 @@ RETIRED = [
     "PiecewiseFunction", "functional_calculus", "UndefinedAt", "q_projections",
     "pairs", "SampledFunction", "SampledPairRep", "defect_projection", "function_action",
     "matrix_units", "pair_relation_check", "shift_action", "NotIsolated", "IndexOutOfDepth",
+    "require_square", "is_empty",
 ]
 
 
@@ -110,5 +111,5 @@ def test_retired_names_are_gone(name):
     assert name not in scalex.operators.__all__
     with pytest.raises(AttributeError):
         getattr(scalex, name)
-    for owner in (scalex.operators, scalex.errors, scalex.wold.WoldReport):
+    for owner in (scalex.operators, scalex.errors, scalex.wold.WoldReport, scalex.spectra.SpectralSet):
         assert not hasattr(owner, name), owner

@@ -1,9 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from scalex.errors import DimensionMismatch, NoConvergence, NotScalinglike
+from scalex.errors import DimensionMismatch, NoConvergence, NotAdmissible, NotScalinglike
 from scalex.operators import conjugate_random, opnorm, random_unitary, realize, scaling_defect
 from scalex.operators import TruncatedShiftModel
 from scalex.wold import polar, reconstruct, wold_decompose
@@ -55,6 +56,13 @@ class TestPolar:
         right, left = support_projections(x)
         assert opnorm(u.conj().T @ u - right) <= 1e-9
         assert opnorm(u @ u.conj().T - left) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf], ids=["0", "-1", "nan", "inf"])
+    def test_tol_must_be_finite_and_positive(self, monkeypatch, tol):
+        # refused before the SVD: at nan or inf no singular value is kept, and u would come back 0
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("factored before the refusal"))
+        with pytest.raises(NotAdmissible, match=f"^tol must be > 0 and finite, got {re.escape(str(tol))}$"):
+            polar(np.array([[0, 0], [0.5, 0]], dtype=complex), tol)
 
 
 class TestWoldTrivialBranches:
