@@ -13,14 +13,12 @@ from .spectra import (
     iso_exists,
     nonproper_admissible,
     normalize,
-    proper_default,
 )
 from .ktheory import (
     Component,
     KGroupResult,
     PuncturedSet,
     components,
-    ev_component_class,
     k_of_functions,
     k_of_generator,
     k_of_quotient_algebra,

@@ -134,10 +134,9 @@ def cmd_kgroups(args: argparse.Namespace) -> dict:
 
 def cmd_synth(args: argparse.Namespace) -> dict:
     _bind_lab()
-    seed = args.seed if args.seed is not None else int(os.environ.get("SCALEX_SEED", "0"))
     spectrum = ScalingSpectrum.from_json(_load_json_arg(args.spec))
     flag = Properness(args.properness)
-    model = synthesize(spectrum, flag, args.depth, args.samples, seed)
+    model = synthesize(spectrum, flag, args.depth, args.samples, args.seed)
     x = realize(model)  # before any write: a matrix too large to allocate leaves no files behind
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -152,7 +151,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
         "fiber_dim": model.fiber_dim,
         "depth": model.depth,
         "properness": flag.value,
-        "seed": seed,
+        "seed": args.seed,
         "eigenvalues": model.A.diagonal().real.tolist(),
         "estimated_spectrum": estimated.to_json(),
     }
@@ -232,7 +231,7 @@ SUBCOMMANDS = {
         "--properness": {"type": str.lower, "choices": [f.value for f in Properness], "default": "proper"},
         "--depth": {"type": int, "default": 6},
         "--samples": {"type": int, "default": 3},
-        "--seed": {"type": int, "help": "falls back to env SCALEX_SEED, then 0"},
+        "--seed": {"type": int, "default": 0},
         "--out": {"help": "output directory (default: cwd)"},
     }),
     "wold": (cmd_wold, "run the Wold decomposition on a matrix or model file", ("tol",), _IN),

@@ -23,7 +23,6 @@ __all__ = [
     "k_of_toeplitz_algebra",
     "k_of_quotient_algebra",
     "k_of_generator",
-    "ev_component_class",
 ]
 
 
@@ -172,8 +171,3 @@ def k_of_generator(d: GeneratorDescriptor) -> KGroupResult:
     if d.properness is Properness.PROPER:
         return k_of_toeplitz_algebra(omega, 1.0)
     return k_of_quotient_algebra(omega, 1.0)
-
-
-def ev_component_class(omega: SpectralSet, v: float) -> int:
-    """K0 basis index hit by evaluation at v: its connected-component index."""
-    return omega.interval_index_of(v)

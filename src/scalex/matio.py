@@ -63,13 +63,9 @@ def _entry_to_json(z: complex):
     return float(z.real) if z.imag == 0.0 else [float(z.real), float(z.imag)]
 
 
-def save_model(path: str, model: TruncatedShiftModel, matrix_path: str | None = None) -> None:
-    """Write a model JSON; with matrix_path the weight block goes to a side file."""
-    if matrix_path is not None:
-        save_matrix(matrix_path, model.A)
-        a_field = os.path.relpath(matrix_path, os.path.dirname(os.path.abspath(path)))
-    else:
-        a_field = [[_entry_to_json(z) for z in row] for row in model.A]
+def save_model(path: str, model: TruncatedShiftModel) -> None:
+    """Write a model JSON with the weight block inline."""
+    a_field = [[_entry_to_json(z) for z in row] for row in model.A]
     with open(path, "w") as fh:
         json.dump({"d": model.fiber_dim, "N": model.depth, "A": a_field}, fh, indent=2)
         fh.write("\n")

@@ -119,18 +119,28 @@ class ScalingDefect(NamedTuple):
     boundary_localized: bool | None
 
 
+def _residual_rows(s: np.ndarray, cross: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+    """The given rows of V* R V = (S^2 - I)(V* L) S; :class:`NotAdmissible` when they overflow float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = (s[rows] ** 2 - 1)[:, None] * cross[rows] * s
+    if not np.isfinite(block).all():  # LAPACK may not return on inf or nan
+        raise NotAdmissible(f"the scaling residual overflows float64 at the largest singular value {s[0]:.6g}")
+    return block
+
+
 def _defect_of_svd(s: np.ndarray, vh: np.ndarray, cross: np.ndarray, fiber_dim: int | None) -> ScalingDefect:
     """:func:`scaling_defect` read from the caller's SVD X = L S V* and its cross product V* L.
 
     V* R = (S^2 - I)(V* L) S V*, so R lives on the rows where s^2 != 1.  Those
     with |s^2 - 1| <= BOUNDARY_TOL are dropped; they add at most BOUNDARY_TOL * s[0].
     """
-    off = np.abs(s**2 - 1) > BOUNDARY_TOL
-    block = (s[off] ** 2 - 1)[:, None] * cross[off] * s
+    off = np.abs(np.minimum(s, 2.0) ** 2 - 1) > BOUNDARY_TOL  # s clipped at 2: the same rows, and no overflow
+    block = _residual_rows(s, cross, off)
     if fiber_dim is None:
         return ScalingDefect(opnorm(block), None)
-    if fiber_dim < 1 or len(s) % fiber_dim:
-        raise NotAdmissible(f"fiber_dim {fiber_dim} is < 1 or dimension {len(s)} is not a multiple of it")
+    if type(fiber_dim) is not int or fiber_dim < 1 or len(s) % fiber_dim:  # bool is a subclass of int
+        raise NotAdmissible(f"fiber_dim {fiber_dim!r} is < 1 or not an int,"
+                            f" or dimension {len(s)} is not a multiple of it")
     # R's rows outside the last slot are vh[off, :n - d]* block up to unitaries; a QR keeps them thin
     rows = np.linalg.qr(vh[off, : len(s) - fiber_dim].conj().T, mode="r") @ block
     return ScalingDefect(opnorm(block), _opnorm_at_most(rows, BOUNDARY_TOL))
@@ -240,7 +250,7 @@ def _factor(x, tol: float,
     if not rank and s[0] > 0:
         raise NotAdmissible(f"tol {tol:g} is at or above the largest singular value {s[0]:.6g}")
     cross = vh @ left
-    block = (s[:rank] ** 2 - 1)[:, None] * cross[:rank] * s
+    block = _residual_rows(s, cross, slice(rank))
     if not _opnorm_at_most(block, tol):
         raise NotScalinglike(f"scaling identity fails by {opnorm(block):.3e} away from the boundary")
     return x, left, s, vh, cross, rank

@@ -27,7 +27,6 @@ __all__ = [
     "iso_exists",
     "has_infinite_projection",
     "has_compact_open_at_one",
-    "proper_default",
 ]
 
 
@@ -276,8 +275,3 @@ def has_compact_open_at_one(s: ScalingSpectrum) -> bool:
         if hi < 1.0:
             return True
     return False
-
-
-def proper_default(s: ScalingSpectrum) -> GeneratorDescriptor:
-    """The proper descriptor; a proper generator exists for every spectrum."""
-    return GeneratorDescriptor(s, Properness.PROPER)

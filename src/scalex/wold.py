@@ -49,14 +49,12 @@ class WoldReport:
     an n x k basis of the zero summand; all are float64 for a real operand.
     """
 
-    dimension: int
     a_restricted: np.ndarray
     unitary_part: np.ndarray
     kernel_basis: np.ndarray
     fiber_bases: list[np.ndarray] = field(repr=False, default_factory=list)
     p2_basis: np.ndarray = field(repr=False, default=None)
     boundary_overlap_rank: int = 0
-    boundary_q_index: int | None = None
     residuals: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -158,14 +156,12 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
     sigma = np.linalg.svd(unitary_part, compute_uv=False) if unitary_part.size else np.zeros(0)
 
     report = WoldReport(
-        dimension=n,
         a_restricted=a_restricted,
         unitary_part=unitary_part,
         kernel_basis=kernel_basis,
         fiber_bases=fiber_bases,
         p2_basis=p2_basis,
         boundary_overlap_rank=overlap,
-        boundary_q_index=len(fiber_bases) - 1 if overlap > 0 and fiber_bases else None,
     )
     report.residuals = {
         "scaling_defect": defect_norm,

@@ -502,21 +502,14 @@ class TestDeterminism:
         mat_b = (tmp_path / "b" / "model.mat").read_text()
         assert mat_a == mat_b
 
-    def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCALEX_SEED", "77")
-        code, rep = run(
-            capsys, "synth", "--spec", POINTS_01, "--depth", "4", "--out", str(tmp_path)
-        )
-        assert code == 0 and rep["seed"] == 77
-
-    def test_env_seed_is_read_without_the_flag_and_yields_to_it(self, capsys, tmp_path, monkeypatch):
+    def test_seed_comes_from_the_flag_alone(self, capsys, tmp_path, monkeypatch):
         args = ["synth", "--spec", '{"intervals": [[0,0],[0.25,0.75],[1,1]]}', "--depth", "4", "--samples", "6"]
-        _, flagged = run(capsys, *args, "--seed", "5", "--out", str(tmp_path / "flag"))
-        monkeypatch.setenv("SCALEX_SEED", "5")
-        _, from_env = run(capsys, *args, "--out", str(tmp_path / "env"))
-        assert (from_env["seed"], from_env["eigenvalues"]) == (5, flagged["eigenvalues"])
-        _, overridden = run(capsys, *args, "--seed", "7", "--out", str(tmp_path / "both"))
-        assert overridden["seed"] == 7 and overridden["eigenvalues"] != flagged["eigenvalues"]
+        _, zero = run(capsys, *args, "--seed", "0", "--out", str(tmp_path / "zero"))
+        monkeypatch.setenv("SCALEX_SEED", "77")
+        _, unflagged = run(capsys, *args, "--out", str(tmp_path / "env"))
+        assert (unflagged["seed"], unflagged["eigenvalues"]) == (0, zero["eigenvalues"])
+        _, other = run(capsys, *args, "--seed", "77", "--out", str(tmp_path / "other"))
+        assert other["eigenvalues"] != zero["eigenvalues"]
 
 
 def test_timestamp_is_utc_now(capsys):

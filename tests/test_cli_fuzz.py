@@ -15,6 +15,8 @@ from scalex.cli import main
 from scalex.matio import save_matrix
 from scalex.operators import TruncatedShiftModel, realize
 
+from test_operators import OVERFLOWING
+
 GOOD_MODEL = json.dumps({"d": 2, "N": 4, "A": [[0.5, 0.0], [0.0, [0.75, 0.0]]]})
 
 
@@ -276,3 +278,14 @@ def test_oversized_operand_is_a_dimension_mismatch(capsys, tmp_path, monkeypatch
     # a refused command leaves nothing behind: no output directory, no model file
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
     assert (tmp_path / "model.json").read_text() == HUGE_MODEL
+
+
+@pytest.mark.parametrize("command", ["verify", "witness", "wold"])
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_overflowing_operand_prints_one_json_document(tmp_path, name, command):
+    # handed inf or nan, LAPACK writes to the process's own stdout, past sys.stdout: only a child process shows it
+    save_matrix(str(tmp_path / "huge.mat"), OVERFLOWING[name][0])
+    argv = [command, "--in", str(tmp_path / "huge.mat"), *COMMANDS[command]]
+    proc = subprocess.run([sys.executable, "-m", "scalex", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (3, ""), proc.stdout
+    assert json.loads(proc.stdout)["kind"] == "NotAdmissible"  # exactly one document

@@ -7,7 +7,6 @@ from scalex.ktheory import (
     KGroupResult,
     PuncturedSet,
     components,
-    ev_component_class,
     k_of_functions,
     k_of_generator,
     k_of_quotient_algebra,
@@ -185,23 +184,24 @@ class TestFiniteCaseConsistency:
         assert k_of_generator(d) == KGroupResult(closed, 0)
 
 
-class TestEvComponentClass:
+class TestEvaluationComponent:
+    # evaluation at v hits the K0 generator of the component holding v
     def test_second_component(self):
-        assert ev_component_class(normalize([(0, 0), (0.5, 1)]), 1) == 1
+        assert normalize([(0, 0), (0.5, 1)]).interval_index_of(1) == 1
 
     def test_first_component(self):
-        assert ev_component_class(normalize([(0, 0), (0.5, 1)]), 0) == 0
+        assert normalize([(0, 0), (0.5, 1)]).interval_index_of(0) == 0
 
     def test_single_component(self):
-        assert ev_component_class(normalize([(0, 1)]), 0.3) == 0
+        assert normalize([(0, 1)]).interval_index_of(0.3) == 0
 
     def test_not_member(self):
         with pytest.raises(NotMember):
-            ev_component_class(normalize([(0, 0), (1, 1)]), 0.5)
+            normalize([(0, 0), (1, 1)]).interval_index_of(0.5)
 
     @given(spectral_sets(max_intervals=4), st.floats(0, 4, allow_nan=False), st.floats(0, 4, allow_nan=False))
     def test_same_class_iff_same_component(self, s, v, w):
         if not (s.contains(v) and s.contains(w)):
             return
         same_component = any(lo <= v <= hi and lo <= w <= hi for lo, hi in s.intervals)
-        assert (ev_component_class(s, v) == ev_component_class(s, w)) == same_component
+        assert (s.interval_index_of(v) == s.interval_index_of(w)) == same_component

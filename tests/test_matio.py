@@ -119,8 +119,16 @@ def test_model_roundtrip_inline(tmp_path):
 
 
 def test_model_roundtrip_matrix_file(tmp_path):
+    # A given as a path, relative to the model file
     model = TruncatedShiftModel(1, 4, np.array([[0.75]], dtype=complex))
+    save_matrix(tmp_path / "block.mat", model.A)
     path = tmp_path / "model.json"
-    save_model(path, model, matrix_path=str(tmp_path / "block.mat"))
+    path.write_text('{"d": 1, "N": 4, "A": "block.mat"}')
     back = load_model(path)
     assert np.array_equal(back.A, model.A)
+
+
+def test_save_model_writes_the_weight_block_inline_only(tmp_path):
+    model = TruncatedShiftModel(1, 4, np.array([[0.75]], dtype=complex))
+    with pytest.raises(TypeError):
+        save_model(tmp_path / "model.json", model, matrix_path=str(tmp_path / "block.mat"))

@@ -322,10 +322,11 @@ class TestClassifyProperness:
             classify_properness(realize(diag_model(5, 0.5)), fiber_dim=2)
 
     @pytest.mark.parametrize("call", [scaling_defect, classify_properness])
-    @pytest.mark.parametrize("fiber_dim", [0, -1])
-    def test_fiber_dim_below_one_is_refused(self, call, fiber_dim):
-        # 0 would divide by zero, and -1 divides every dimension yet names no slot
-        with pytest.raises(NotAdmissible, match=f"^fiber_dim {fiber_dim} is < 1 "):
+    @pytest.mark.parametrize("fiber_dim", [0, -1, 2.0, True])
+    def test_fiber_dim_must_be_an_int_of_at_least_one(self, call, fiber_dim):
+        # 0 would divide by zero, -1 divides every dimension yet names no slot,
+        # 2.0 divides the dimension yet slices nothing, and True would be read as 1
+        with pytest.raises(NotAdmissible, match=f"^fiber_dim {fiber_dim} is < 1 or not an int,"):
             call(realize(diag_model(4, 0.5)), fiber_dim=fiber_dim)
 
     def test_one_svd_per_call(self, monkeypatch):
@@ -437,6 +438,36 @@ def test_tolerance_is_refused_unless_finite_and_positive(unfactored, name, call,
     x = np.diag([0.5, 1.0, 1.0, 1.0, 1.0], k=-1)
     with pytest.raises(NotAdmissible, match=f"^{name} must be > 0 and finite, got {re.escape(str(value))}$"):
         call(x, value)
+
+
+# s0^3 overflows float64 above about 5.6e102: the residual block (S^2 - I)(V* L) S then holds inf, or nan from inf * 0
+OVERFLOWING = {
+    "conjugated-shift-1e110": (conjugate_random(1e110 * np.eye(4, k=-1), 5), "1e+110"),
+    "shift-1e160": (np.array([[0.0, 0.0], [1e160, 0.0]]), "1e+160"),
+    "shift-1e103": (1e103 * np.eye(4, k=-1), "1e+103"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", OVERFLOWING)
+@pytest.mark.parametrize(
+    "call", [lambda x: scaling_defect(x, 1), classify_properness, wold_decompose],
+    ids=["scaling_defect", "classify_properness", "wold_decompose"],
+)
+def test_overflowing_scaling_residual_is_refused(call, name):
+    x, s0 = OVERFLOWING[name]
+    with pytest.raises(NotAdmissible, match=f"^the scaling residual overflows float64 .* {re.escape(s0)}$"):
+        call(x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_representable_scaling_residual_is_answered():
+    x = np.array([[0.0, 0.0], [1e120, 0.0]])
+    v = classify_properness(x)
+    assert (v.verdict, v.scaling_residual) == (Properness.NON_PROPER, 1e120)
+    assert scaling_defect(x, 1) == (1e120, True)
+    r = wold_decompose(x)
+    assert r.q_ranks == [1, 1] and r.a_eigenvalues == pytest.approx([1e120])
 
 
 class TestFunctionalCalculus:

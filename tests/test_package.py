@@ -100,16 +100,23 @@ RETIRED = [
     "PiecewiseFunction", "functional_calculus", "UndefinedAt", "q_projections",
     "pairs", "SampledFunction", "SampledPairRep", "defect_projection", "function_action",
     "matrix_units", "pair_relation_check", "shift_action", "NotIsolated", "IndexOutOfDepth",
-    "require_square", "is_empty",
+    "require_square", "is_empty", "proper_default", "ev_component_class", "dimension", "boundary_q_index",
 ]
 
 
+@pytest.fixture(scope="module")
+def wold_report():
+    return scalex.wold_decompose(scalex.realize(scalex.TruncatedShiftModel(1, 3, [[0.5]])))
+
+
 @pytest.mark.parametrize("name", RETIRED)
-def test_retired_names_are_gone(name):
+def test_retired_names_are_gone(name, wold_report):
     assert name not in scalex.__all__
     assert name not in dir(scalex)
     assert name not in scalex.operators.__all__
     with pytest.raises(AttributeError):
         getattr(scalex, name)
-    for owner in (scalex.operators, scalex.errors, scalex.wold.WoldReport, scalex.spectra.SpectralSet):
+    owners = (scalex.operators, scalex.errors, scalex.spectra, scalex.ktheory, scalex.wold.WoldReport, wold_report,
+              scalex.spectra.SpectralSet)
+    for owner in owners:
         assert not hasattr(owner, name), owner

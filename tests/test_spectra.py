@@ -14,7 +14,6 @@ from scalex.spectra import (
     iso_exists,
     nonproper_admissible,
     normalize,
-    proper_default,
 )
 
 from conftest import descriptors, raw_interval_lists, scaling_spectra, spectral_sets
@@ -208,10 +207,11 @@ class TestInfiniteProjection:
         assert has_infinite_projection(s) == has_compact_open_at_one(s)
 
 
-class TestProperDefault:
+class TestProperDescriptor:
     @pytest.mark.parametrize("pairs", [POINTS_01, FULL_01, POINTS_0H1])
     def test_always_proper(self, pairs):
-        d = proper_default(spectrum(*pairs))
+        # a proper generator exists for every spectrum
+        d = GeneratorDescriptor(spectrum(*pairs), Properness.PROPER)
         assert d.properness is Properness.PROPER
         assert d.spectrum == spectrum(*pairs)
 
