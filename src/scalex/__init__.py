@@ -21,8 +21,6 @@ from .ktheory import (
     components,
     k_of_functions,
     k_of_generator,
-    k_of_quotient_algebra,
-    k_of_toeplitz_algebra,
 )
 
 # lab module -> public names; numpy loads with the first of them that is used

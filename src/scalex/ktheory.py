@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidInterval, NotAdmissible, NotMember
+from .errors import InvalidInterval, NotMember
 from .spectra import GeneratorDescriptor, Properness, SpectralSet, _is_numbers, _Record
 
 __all__ = [
@@ -20,8 +20,6 @@ __all__ = [
     "KGroupResult",
     "components",
     "k_of_functions",
-    "k_of_toeplitz_algebra",
-    "k_of_quotient_algebra",
     "k_of_generator",
 ]
 
@@ -56,15 +54,6 @@ class Component(_Record):
             return "half-open"
         return "open"
 
-    def contains(self, x: float) -> bool:
-        if not (self.lo <= x <= self.hi):
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
-
 
 class PuncturedSet(_Record):
     """A spectral set with finitely many points deleted."""
@@ -87,11 +76,6 @@ class PuncturedSet(_Record):
 
     def contains(self, x: float) -> bool:
         return self.base.contains(x) and float(x) not in self.removed
-
-    def without(self, x: float) -> "PuncturedSet":
-        if not self.contains(x):
-            raise NotMember(f"{x} is not in the punctured set")
-        return PuncturedSet(self.base, self.removed + (float(x),))
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "removed": list(self.removed)}
@@ -134,40 +118,11 @@ def k_of_functions(p: PuncturedSet) -> KGroupResult:
     return KGroupResult(k0, k1)
 
 
-def k_of_toeplitz_algebra(omega: PuncturedSet, v: float) -> KGroupResult:
-    """K-ranks of the universal pair algebra on (omega, v).
-
-    The diagonal embedding of the function algebra is a K-equivalence, so the
-    ranks coincide with :func:`k_of_functions`.
-    """
-    if not omega.contains(v):
-        raise NotMember(f"marked point {v} is not in the set")
-    return k_of_functions(omega)
-
-
-def k_of_quotient_algebra(omega: PuncturedSet, v: float) -> KGroupResult:
-    """K-ranks of the quotient by the compact ideal at an isolated marked point.
-
-    Requires omega minus {v} to be non-empty and compact (every remaining
-    component closed); the ranks are those of functions on omega minus {v}.
-    """
-    if not omega.contains(v):
-        raise NotMember(f"marked point {v} is not in the set")
-    comp = next(c for c in components(omega) if c.contains(v))
-    if comp.kind != "point":
-        raise NotAdmissible(f"marked point {v} is not isolated")
-    punctured = omega.without(v)
-    comps = components(punctured)
-    if not comps:
-        raise NotAdmissible("the set minus the marked point is empty")
-    if any(c.kind not in ("closed", "point") for c in comps):
-        raise NotAdmissible("the set minus the marked point is not compact")
-    return k_of_functions(punctured)
-
-
 def k_of_generator(d: GeneratorDescriptor) -> KGroupResult:
-    """K-ranks of the algebra generated by a scaling element with descriptor d."""
-    omega = PuncturedSet(d.spectrum.set, (0.0,))
-    if d.properness is Properness.PROPER:
-        return k_of_toeplitz_algebra(omega, 1.0)
-    return k_of_quotient_algebra(omega, 1.0)
+    """K-ranks of the algebra generated by a scaling element with descriptor d.
+
+    Proper: the universal Toeplitz-type algebra, K-equivalent to C0(spec|X*| minus {0}).
+    Non-proper: its quotient by the compacts at 1, K-equivalent to C0(spec|X*| minus {0, 1}).
+    """
+    removed = (0.0,) if d.properness is Properness.PROPER else (0.0, 1.0)
+    return k_of_functions(PuncturedSet(d.spectrum.set, removed))

@@ -43,6 +43,7 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 BOUNDARY_TOL = 1e-10
+GATE_FLOOR = 16  # the scaling gate's rounding floor, in units of n * eps * max(1, s0)^3
 
 
 def opnorm(x: np.ndarray) -> float:
@@ -89,6 +90,8 @@ class TruncatedShiftModel:
 
     def __post_init__(self):
         a = np.array(self.A, dtype=complex)
+        if type(self.fiber_dim) is not int or type(self.depth) is not int:  # bool is a subclass of int
+            raise NotAdmissible(f"fiber_dim and depth must be integers, got {self.fiber_dim!r} and {self.depth!r}")
         if self.fiber_dim < 1 or self.depth < 2:
             raise NotAdmissible("need fiber_dim >= 1 and depth >= 2")
         if a.shape != (self.fiber_dim, self.fiber_dim):
@@ -241,8 +244,10 @@ def _factor(x, tol: float,
     in this order: :class:`DimensionMismatch` (x empty or non-square),
     :class:`NonFiniteEntry`, :class:`NotAdmissible` (tol or one of the caller's
     ``tolerances`` not finite and > 0, or tol leaves a nonzero X no support) and
-    :class:`NotScalinglike` (R's rows on the right support exceed tol in norm;
-    the test is basis-free, so it survives unitary conjugation).
+    :class:`NotScalinglike` (R's rows on the right support exceed tol plus the
+    rounding floor GATE_FLOOR * n * eps * max(1, s0)^3 in norm, since the rows
+    carry the rounding of X through the three factors of (X*X)X; the test is
+    basis-free, so it survives unitary conjugation).
     """
     x = _operand(x, tol=tol, **tolerances)
     left, s, vh = np.linalg.svd(x)
@@ -251,8 +256,11 @@ def _factor(x, tol: float,
         raise NotAdmissible(f"tol {tol:g} is at or above the largest singular value {s[0]:.6g}")
     cross = vh @ left
     block = _residual_rows(s, cross, slice(rank))
-    if not _opnorm_at_most(block, tol):
-        raise NotScalinglike(f"scaling identity fails by {opnorm(block):.3e} away from the boundary")
+    with np.errstate(over="ignore"):  # past s[0] ~ 1e107 the floor is inf, and any finite block is rounding
+        floor = GATE_FLOOR * len(s) * np.finfo(float).eps * max(1.0, s[0]) ** 3
+    if not _opnorm_at_most(block, tol + floor):
+        raise NotScalinglike(f"scaling identity fails by {opnorm(block):.3e} away from the boundary,"
+                             f" above tol {tol:g} plus the rounding floor {floor:.3e}")
     return x, left, s, vh, cross, rank
 
 

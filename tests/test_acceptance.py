@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from scalex.errors import NoGap
-from scalex.ktheory import PuncturedSet, k_of_functions, k_of_toeplitz_algebra
+from scalex.ktheory import PuncturedSet, k_of_functions, k_of_generator
 from scalex.operators import (
     TruncatedShiftModel,
     classify_properness,
@@ -318,8 +318,9 @@ def test_c8_k_oracle():
         got = k_of_functions(p)
         assert (got.k0_rank, got.k1_rank) == _k_ranks_oracle(p)
 
-    toeplitz = k_of_toeplitz_algebra(PuncturedSet(normalize([(1, 1)])), 1.0)
-    assert (toeplitz.k0_rank, toeplitz.k1_rank) == (1, 0)
+    # Coburn's case: the proper descriptor on {0, 1} generates the Toeplitz algebra, K = (Z, 0)
+    coburn = k_of_generator(GeneratorDescriptor(ScalingSpectrum.from_intervals([(0, 0), (1, 1)]), Properness.PROPER))
+    assert (coburn.k0_rank, coburn.k1_rank) == (1, 0)
 
 
 @criterion(9, "descriptor algebra: iso iff hom both ways")

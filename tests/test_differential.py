@@ -18,6 +18,7 @@ from scalex.operators import (
     conjugate_random,
     estimate_spectrum,
     infinite_projection_witness,
+    random_unitary,
     realize,
     synthesize,
 )
@@ -28,6 +29,7 @@ from scalex.spectra import (
     nonproper_admissible,
     normalize,
 )
+from scalex.wold import wold_decompose
 
 # components strictly inside (0, 1) sit in these slots, so 0 and 1 stay isolated
 SLOTS = [(0.15, 0.3), (0.45, 0.6), (0.75, 0.85)]
@@ -106,6 +108,34 @@ def test_whole_space_conjugation_needs_no_fiber_dimension(case):
 
     assert classify_properness(x).verdict is flag
     assert_witnesses_follow_the_engine(x, spectrum, np.diag(m.A).real.tolist())
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted(), st.integers(0, 10), st.integers(0, 5))
+def test_unitary_and_zero_summands_are_booked_apart(case, r, k):
+    """X + U + 0_k behind a random unitary, U unitary of rank r, answers as X does;
+    Wold books U as the unitary summand and 0_k as the kernel."""
+    spectrum, flag, samples, seed = case
+    m = synthesize(spectrum, flag, depth=3, samples_per_interval=samples, seed=seed)
+    assume(m.dimension <= 48)
+    x = realize(m)
+    n = len(x)
+    y = np.zeros((n + r + k,) * 2, dtype=complex)
+    y[:n, :n] = x
+    y[n : n + r, n : n + r] = random_unitary(r, seed)
+    y = conjugate_random(y, seed + 1)
+
+    assert classify_properness(y).verdict is classify_properness(x).verdict is flag
+    est_x, est_y = estimate_spectrum(x).intervals, estimate_spectrum(y).intervals
+    assert len(est_y) == len(est_x) and np.allclose(est_y, est_x, rtol=0, atol=1e-10)
+    for hi, lo in gaps(spectrum.set):
+        if lo - hi > 1e-6:  # the planted gap holds no singular value, of X or of Y
+            wx, wy = (infinite_projection_witness(z, (hi + lo) / 2)[1] for z in (x, y))
+            assert (wy.infinite_projection_witnessed, wy.dominated) == (wx.infinite_projection_witnessed, wx.dominated)
+            assert abs(wy.norm_difference - wx.norm_difference) <= 1e-8
+    wold_x, wold_y = wold_decompose(x), wold_decompose(y)
+    assert wold_y.q_ranks == wold_x.q_ranks
+    assert (wold_y.unitary_rank, wold_y.kernel_rank) == (r, k)
 
 
 def assert_witnesses_follow_the_engine(x, spectrum, values):

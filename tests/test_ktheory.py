@@ -9,12 +9,10 @@ from scalex.ktheory import (
     components,
     k_of_functions,
     k_of_generator,
-    k_of_quotient_algebra,
-    k_of_toeplitz_algebra,
 )
-from scalex.spectra import GeneratorDescriptor, Properness, ScalingSpectrum, normalize
+from scalex.spectra import GeneratorDescriptor, Properness, ScalingSpectrum, nonproper_admissible, normalize
 
-from conftest import spectral_sets
+from conftest import scaling_spectra, spectral_sets
 
 
 def punctured(pairs, removed=()):
@@ -23,6 +21,11 @@ def punctured(pairs, removed=()):
 
 def kinds(p):
     return [c.kind for c in components(p)]
+
+
+def in_component(c, x):
+    """Whether x lies in the component c, read from its endpoints and their closedness."""
+    return c.lo < x < c.hi or (x == c.lo and c.lo_closed) or (x == c.hi and c.hi_closed)
 
 
 class TestComponents:
@@ -56,7 +59,7 @@ class TestComponents:
     def test_membership_consistency(self):
         p = punctured([(0, 1), (2, 2)], [0, 0.25])
         for x in [0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0]:
-            assert any(c.contains(x) for c in components(p)) == p.contains(x)
+            assert any(in_component(c, x) for c in components(p)) == p.contains(x)
 
 
 class TestPuncturedSet:
@@ -75,12 +78,6 @@ class TestPuncturedSet:
             punctured([(0, 1)], [x])
         with pytest.raises(InvalidInterval):
             PuncturedSet.from_json({"base": {"intervals": [[0, 1]]}, "removed": [0.5, x]})
-
-    @pytest.mark.parametrize("x", [0.5, 2])
-    def test_without_a_non_member(self, x):
-        # 0.5 is already removed, 2 was never in the base
-        with pytest.raises(NotMember):
-            punctured([(0, 1)], [0.5]).without(x)
 
     def test_json_roundtrip(self):
         p = punctured([(0, 1)], [0.5])
@@ -109,67 +106,52 @@ class TestKOfFunctions:
         assert (ku.k0_rank, ku.k1_rank) == (ka.k0_rank + kb.k0_rank, ka.k1_rank + kb.k1_rank)
 
 
-class TestKOfToeplitzAlgebra:
-    def test_single_point(self):
-        assert k_of_toeplitz_algebra(punctured([(1, 1)]), 1) == KGroupResult(1, 0)
-
-    def test_half_open_interval(self):
-        assert k_of_toeplitz_algebra(punctured([(0, 1)], [0]), 1) == KGroupResult(0, 0)
-
-    def test_two_points(self):
-        assert k_of_toeplitz_algebra(punctured([(0.5, 0.5), (1, 1)]), 1) == KGroupResult(2, 0)
-
-    def test_marked_point_must_be_member(self):
-        with pytest.raises(NotMember):
-            k_of_toeplitz_algebra(punctured([(0, 1)], [1]), 1)
-
-
-class TestKOfQuotientAlgebra:
-    def test_one_remaining_point(self):
-        assert k_of_quotient_algebra(punctured([(0.5, 0.5), (1, 1)]), 1) == KGroupResult(1, 0)
-
-    def test_two_remaining_points(self):
-        p = punctured([(0.25, 0.25), (0.5, 0.5), (1, 1)])
-        assert k_of_quotient_algebra(p, 1) == KGroupResult(2, 0)
-
-    def test_empty_remainder_rejected(self):
-        with pytest.raises(NotAdmissible):
-            k_of_quotient_algebra(punctured([(1, 1)]), 1)
-
-    def test_non_isolated_marked_point_rejected(self):
-        with pytest.raises(NotAdmissible):
-            k_of_quotient_algebra(punctured([(0.5, 1)]), 1)
-
-    def test_noncompact_remainder_rejected(self):
-        with pytest.raises(NotAdmissible):
-            k_of_quotient_algebra(punctured([(0, 0.5), (1, 1)], [0]), 1)
-
-    def test_marked_point_must_be_member(self):
-        with pytest.raises(NotMember):
-            k_of_quotient_algebra(punctured([(0.5, 0.5), (1, 1)]), 0.75)
+def descriptor(pairs, proper=True):
+    return GeneratorDescriptor(
+        ScalingSpectrum.from_intervals(pairs), Properness.PROPER if proper else Properness.NON_PROPER
+    )
 
 
 class TestKOfGenerator:
-    def test_proper_shift_case(self):
-        d = GeneratorDescriptor(ScalingSpectrum.from_intervals([(0, 0), (1, 1)]), Properness.PROPER)
-        assert k_of_generator(d) == KGroupResult(1, 0)
+    @pytest.mark.parametrize(
+        "pairs, proper, want",
+        [
+            # proper: the Toeplitz-type algebra, K-equivalent to functions on the spectrum minus {0}
+            ([(0, 0), (1, 1)], True, (1, 0)),
+            ([(0, 1)], True, (0, 0)),
+            ([(0, 0), (0.5, 0.5), (1, 1)], True, (2, 0)),
+            # non-proper: the quotient by the compacts at 1, functions on the spectrum minus {0, 1}
+            ([(0, 0), (0.5, 0.5), (1, 1)], False, (1, 0)),
+            ([(0, 0), (0.25, 0.25), (0.5, 0.5), (1, 1)], False, (2, 0)),
+        ],
+        ids=["shift", "full-interval", "two-points", "nonproper-middle-point", "nonproper-two-points"],
+    )
+    def test_ranks(self, pairs, proper, want):
+        assert k_of_generator(descriptor(pairs, proper)) == KGroupResult(*want)
 
-    def test_nonproper_middle_point(self):
-        d = GeneratorDescriptor(
-            ScalingSpectrum.from_intervals([(0, 0), (0.5, 0.5), (1, 1)]), Properness.NON_PROPER
-        )
-        assert k_of_generator(d) == KGroupResult(1, 0)
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(0, 0), (1, 1)], [(0, 0), (0.5, 1)], [(0, 0.5), (1, 1)]],
+        ids=["empty-remainder", "one-not-isolated", "zero-not-isolated"],
+    )
+    def test_inadmissible_nonproper_descriptor_is_refused(self, pairs):
+        # the spectrum minus {0, 1} must be non-empty and compact; the descriptor decides it, once
+        with pytest.raises(NotAdmissible):
+            descriptor(pairs, proper=False)
 
-    def test_full_interval(self):
-        d = GeneratorDescriptor(ScalingSpectrum.from_intervals([(0, 1)]), Properness.PROPER)
-        assert k_of_generator(d) == KGroupResult(0, 0)
+    @given(scaling_spectra())
+    def test_one_puncture(self, s):
+        # proper: puncture {0}; non-proper, where the spectrum admits it: puncture {0, 1}
+        assert k_of_generator(GeneratorDescriptor(s, Properness.PROPER)) == k_of_functions(PuncturedSet(s.set, (0.0,)))
+        if nonproper_admissible(s):
+            got = k_of_generator(GeneratorDescriptor(s, Properness.NON_PROPER))
+            assert got == k_of_functions(PuncturedSet(s.set, (0.0, 1.0)))
 
 
 class TestFiniteCaseConsistency:
     @given(st.data())
     def test_no_infinite_projection_forces_component_count(self, data):
         from scalex.spectra import has_infinite_projection
-        from conftest import scaling_spectra
 
         s = data.draw(scaling_spectra())
         if has_infinite_projection(s):
@@ -177,7 +159,7 @@ class TestFiniteCaseConsistency:
         # [0,1] covered: puncturing 0 turns the component of 1 half-open
         punctured_spec = PuncturedSet(s.set, (0.0,))
         comps = components(punctured_spec)
-        one_comp = next(c for c in comps if c.contains(1.0))
+        one_comp = next(c for c in comps if in_component(c, 1.0))
         assert one_comp.kind == "half-open"
         closed = sum(1 for c in comps if c.kind in ("closed", "point"))
         d = GeneratorDescriptor(s, Properness.PROPER)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from scalex import operators
+from scalex import matio, operators
 from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NonFiniteEntry, NotAdmissible, NotScalinglike
 from scalex.operators import (
     _factor,
@@ -112,6 +112,11 @@ class TestModelValidation:
     def test_rejects_shallow_depth(self):
         with pytest.raises(NotAdmissible):
             diag_model(1, 1.0)
+
+    @pytest.mark.parametrize("d, n", [(2.0, 4), (1, 4.0), (True, 4)], ids=["float-d", "float-depth", "bool-d"])
+    def test_rejects_a_shape_that_is_not_an_int(self, d, n):
+        with pytest.raises(NotAdmissible, match="^fiber_dim and depth must be integers"):
+            TruncatedShiftModel(d, n, np.eye(int(d)))
 
     @NON_FINITE
     def test_rejects_non_finite_block(self, unfactored, value):
@@ -352,7 +357,7 @@ class TestScalingGate:
     )
     def test_cyclic_shift_is_refused(self, call, a):
         # the identity fails by |a^2 - 1| on the support, whatever the slot structure
-        with pytest.raises(NotScalinglike):
+        with pytest.raises(NotScalinglike, match=r"^scaling identity fails by .* plus the rounding floor "):
             call(cyclic_shift(a))
 
     @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
@@ -370,6 +375,34 @@ class TestScalingGate:
             _, _, s, vh, _, rank = _factor(op, 1e-8)
             want = vh[:rank] @ ((op.conj().T @ op) @ op - op)
             assert np.abs(judged.pop() @ vh - want).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
+    @pytest.mark.parametrize("source", ["synth", "file"])
+    @pytest.mark.parametrize("top", [2, 10, 100, 300, 1000, 3000, 1e4])
+    def test_weight_ladder_is_answered(self, tmp_path, top, source, flag):
+        # exact by construction: only rounding fails the identity, and it grows like eps * s0^3
+        if source == "synth":
+            m = synthesize(spectrum((0, 0), (0.5, 0.5), (1, 1), (top, top)), flag, 6)
+        else:
+            q = random_unitary(3 - (flag is Properness.NON_PROPER), 4)
+            a = q @ np.diag([0.5, top] if flag is Properness.NON_PROPER else [0.5, 1.0, top]) @ q.conj().T
+            matio.save_model(str(tmp_path / "m.json"), model(len(q), 6, (a + a.conj().T) / 2))
+            m = matio.load_model(str(tmp_path / "m.json"))
+        x = conjugate_random(realize(m), 3)
+        assert classify_properness(x).verdict is flag
+        assert infinite_projection_witness(x, 0.7)[1].infinite_projection_witnessed
+        assert wold_decompose(x).a_eigenvalues == pytest.approx(np.linalg.eigvalsh(m.A), rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_exact_models_pass_the_gate(self, seed):
+        # a non-diagonal weight block with a top weight up to 1e5, behind a random unitary
+        rng = np.random.default_rng(seed)
+        d, depth, top = int(rng.integers(1, 6)), int(rng.integers(3, 9)), 10 ** rng.uniform(2, 5)
+        q = random_unitary(d, rng)
+        a = q @ np.diag([top, *rng.uniform(0.05, top, d - 1)]) @ q.conj().T
+        x = conjugate_random(realize(model(d, depth, (a + a.conj().T) / 2)), seed)
+        assert _factor(x, 1e-9)[-1] == d * (depth - 1)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -101,6 +101,7 @@ RETIRED = [
     "pairs", "SampledFunction", "SampledPairRep", "defect_projection", "function_action",
     "matrix_units", "pair_relation_check", "shift_action", "NotIsolated", "IndexOutOfDepth",
     "require_square", "is_empty", "proper_default", "ev_component_class", "dimension", "boundary_q_index",
+    "k_of_toeplitz_algebra", "k_of_quotient_algebra", "without",
 ]
 
 
@@ -117,6 +118,12 @@ def test_retired_names_are_gone(name, wold_report):
     with pytest.raises(AttributeError):
         getattr(scalex, name)
     owners = (scalex.operators, scalex.errors, scalex.spectra, scalex.ktheory, scalex.wold.WoldReport, wold_report,
-              scalex.spectra.SpectralSet)
+              scalex.spectra.SpectralSet, scalex.ktheory.PuncturedSet)
     for owner in owners:
         assert not hasattr(owner, name), owner
+
+
+def test_component_has_no_membership_test():
+    # a component is its endpoints and their closedness; `contains` stays on the sets
+    assert not hasattr(scalex.ktheory.Component, "contains")
+    assert hasattr(scalex.spectra.SpectralSet, "contains") and hasattr(scalex.ktheory.PuncturedSet, "contains")
