@@ -43,7 +43,7 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 BOUNDARY_TOL = 1e-10
-GATE_FLOOR = 16  # the scaling gate's rounding floor, in units of n * eps * max(1, s0)^3
+GATE_FLOOR = 16  # the rounding the scaling gate allows for, in units of n * eps * max(1, s0)
 
 
 def opnorm(x: np.ndarray) -> float:
@@ -77,7 +77,8 @@ def _operand(x, **tolerances: float) -> np.ndarray:
 
 def _opnorm_at_most(m: np.ndarray, tol: float) -> bool:
     """opnorm(m) <= tol, skipping the SVD when the Frobenius bound decides it."""
-    return bool(np.linalg.norm(m) <= tol or opnorm(m) <= tol)
+    with np.errstate(over="ignore"):  # past entries of ~1e154 the Frobenius norm is inf, and the SVD decides
+        return bool(np.linalg.norm(m) <= tol or opnorm(m) <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,10 +245,13 @@ def _factor(x, tol: float,
     in this order: :class:`DimensionMismatch` (x empty or non-square),
     :class:`NonFiniteEntry`, :class:`NotAdmissible` (tol or one of the caller's
     ``tolerances`` not finite and > 0, or tol leaves a nonzero X no support) and
-    :class:`NotScalinglike` (R's rows on the right support exceed tol plus the
-    rounding floor GATE_FLOOR * n * eps * max(1, s0)^3 in norm, since the rows
-    carry the rounding of X through the three factors of (X*X)X; the test is
-    basis-free, so it survives unitary conjugation).
+    :class:`NotScalinglike` (R's rows on the right support exceed tol plus a
+    rounding floor in norm; the test is basis-free, so it survives unitary
+    conjugation).  The rows carry X's rounding, of order delta = GATE_FLOOR * n *
+    eps * max(1, s0), through the other two factors of (X*X)X, so the floor is
+    delta * s0^2.  It is granted only while delta is at most sqrt(eps), so that
+    a singular value at 1, which the identity pins, keeps half its digits; past
+    that it is 0.
     """
     x = _operand(x, tol=tol, **tolerances)
     left, s, vh = np.linalg.svd(x)
@@ -256,8 +260,9 @@ def _factor(x, tol: float,
         raise NotAdmissible(f"tol {tol:g} is at or above the largest singular value {s[0]:.6g}")
     cross = vh @ left
     block = _residual_rows(s, cross, slice(rank))
-    with np.errstate(over="ignore"):  # past s[0] ~ 1e107 the floor is inf, and any finite block is rounding
-        floor = GATE_FLOOR * len(s) * np.finfo(float).eps * max(1.0, s[0]) ** 3
+    eps = np.finfo(float).eps
+    delta = GATE_FLOOR * len(s) * eps * max(1.0, s[0])
+    floor = delta * max(1.0, s[0]) ** 2 if delta <= np.sqrt(eps) else 0.0  # s0 < 5e6, so no overflow
     if not _opnorm_at_most(block, tol + floor):
         raise NotScalinglike(f"scaling identity fails by {opnorm(block):.3e} away from the boundary,"
                              f" above tol {tol:g} plus the rounding floor {floor:.3e}")
