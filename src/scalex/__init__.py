@@ -15,10 +15,8 @@ from .spectra import (
     normalize,
 )
 from .ktheory import (
-    Component,
     KGroupResult,
     PuncturedSet,
-    components,
     k_of_functions,
     k_of_generator,
 )

@@ -1,10 +1,8 @@
 """K-group ranks of function algebras over punctured interval sets.
 
 Inputs here are finite unions of closed intervals with finitely many points
-deleted, so every connected component is a point, a closed, half-open or open
-interval.  The K0/K1 ranks of continuous functions vanishing at the missing
-endpoints follow from a per-component lookup: closed pieces (and points) carry
-one K0 generator, open pieces one K1 generator, half-open pieces nothing.
+deleted.  The K0/K1 ranks of continuous functions vanishing at the deleted
+points are a count of punctures per interval (see :func:`k_of_functions`).
 """
 
 from __future__ import annotations
@@ -15,10 +13,8 @@ from .errors import InvalidInterval, NotMember
 from .spectra import GeneratorDescriptor, Properness, SpectralSet, _is_numbers, _Record
 
 __all__ = [
-    "Component",
     "PuncturedSet",
     "KGroupResult",
-    "components",
     "k_of_functions",
     "k_of_generator",
 ]
@@ -33,26 +29,6 @@ class KGroupResult(_Record):
 
     def to_json(self) -> dict:
         return {"k0": self.k0_rank, "k1": self.k1_rank}
-
-
-class Component(_Record):
-    """One maximal connected piece of a punctured set."""
-
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-
-    @property
-    def kind(self) -> str:
-        if self.lo == self.hi:
-            return "point"
-        if self.lo_closed and self.hi_closed:
-            return "closed"
-        if self.lo_closed or self.hi_closed:
-            return "half-open"
-        return "open"
 
 
 class PuncturedSet(_Record):
@@ -87,35 +63,18 @@ class PuncturedSet(_Record):
         return cls(SpectralSet.from_json(obj["base"]), tuple(obj.get("removed", ())))
 
 
-def components(p: PuncturedSet) -> list[Component]:
-    """Maximal connected pieces of the punctured set, in increasing order."""
-    out: list[Component] = []
-    for lo, hi in p.base.intervals:
-        cuts = [x for x in p.removed if lo <= x <= hi]
-        if lo == hi:
-            if not cuts:
-                out.append(Component(lo, hi, True, True))
-            continue
-        left, left_closed = lo, True
-        for c in cuts:
-            if c == left:
-                left_closed = False
-            else:
-                out.append(Component(left, c, left_closed, False))
-                left, left_closed = c, False
-        if left < hi:
-            out.append(Component(left, hi, left_closed, True))
-        # left == hi happens when the last cut removed the right endpoint;
-        # the leftover single point is already gone.
-    return out
-
-
 def k_of_functions(p: PuncturedSet) -> KGroupResult:
-    """K-ranks of continuous functions on p vanishing toward the punctures."""
-    comps = components(p)
-    k0 = sum(1 for c in comps if c.kind in ("closed", "point"))
-    k1 = sum(1 for c in comps if c.kind == "open")
-    return KGroupResult(k0, k1)
+    """K-ranks of continuous functions on p vanishing toward the punctures.
+
+    The ranks add up over the intervals of the base.  A closed interval or a
+    point gives K0 = Z, a half-open piece is contractible and gives 0, and an
+    open piece is a suspension and gives K1 = Z.  An interval with no puncture
+    is one closed piece.  c >= 1 punctures leave c - 1 open pieces between
+    consecutive punctures, and at each end a half-open piece, or nothing where
+    the puncture is the endpoint: c - 1 K1 generators and no K0 generator.
+    """
+    cuts = [sum(lo <= x <= hi for x in p.removed) for lo, hi in p.base.intervals]
+    return KGroupResult(cuts.count(0), sum(c - 1 for c in cuts if c))
 
 
 def k_of_generator(d: GeneratorDescriptor) -> KGroupResult:

@@ -23,7 +23,7 @@ from .errors import (
     NotAdmissible,
     NotScalinglike,
 )
-from .spectra import Properness, ScalingSpectrum, SpectralSet, nonproper_admissible, normalize
+from .spectra import GeneratorDescriptor, Properness, ScalingSpectrum, SpectralSet, normalize
 
 __all__ = [
     "TruncatedShiftModel",
@@ -198,14 +198,16 @@ def synthesize(
     estimate are exact) plus seeded uniform interior points.  Proper models
     always carry eigenvalue 1 inside A; non-proper models sample only the part
     away from 0 and 1, which requires the non-proper admissibility of the
-    spectrum.  samples_per_interval 0-2 samples only the endpoints; a negative one is refused.
+    spectrum.  samples_per_interval 0-2 samples only the endpoints; a negative
+    or non-int one is refused.
     """
     if depth < 3:
         raise NotAdmissible("synthesis needs depth >= 3")
+    if type(samples_per_interval) is not int:  # bool is a subclass of int
+        raise NotAdmissible(f"samples_per_interval must be an int, got {samples_per_interval!r}")
     if samples_per_interval < 0:
         raise NotAdmissible(f"samples_per_interval must be >= 0, got {samples_per_interval}")
-    if properness is Properness.NON_PROPER and not nonproper_admissible(spec):
-        raise NotAdmissible("spectrum does not admit a non-proper generator")
+    GeneratorDescriptor(spec, properness)  # refuses a flag that is not a Properness, or an inadmissible one
     rng = np.random.default_rng(seed)
     values: list[float] = []
     for lo, hi in spec.set.intervals:

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from enum import Enum
 
-from .errors import InvalidInterval, NegativeEndpoint, NotAdmissible, NotMember
+from .errors import InvalidInterval, NegativeEndpoint, NotAdmissible
 
 __all__ = [
     "SpectralSet",
@@ -119,13 +119,6 @@ class SpectralSet(_Record):
         i = bisect_right(self.intervals, (float(x), math.inf)) - 1
         return i >= 0 and self.intervals[i][0] <= x <= self.intervals[i][1]
 
-    def interval_index_of(self, x: float) -> int:
-        """Index of the interval (= connected component) containing x."""
-        i = bisect_right(self.intervals, (float(x), math.inf)) - 1
-        if i < 0 or not (self.intervals[i][0] <= x <= self.intervals[i][1]):
-            raise NotMember(f"{x} is not in the set")
-        return i
-
     def is_subset(self, other: "SpectralSet") -> bool:
         """Exact interval-wise containment: every point of self lies in other."""
         # A closed interval is connected, so it fits inside the disjoint union
@@ -134,11 +127,6 @@ class SpectralSet(_Record):
             any(blo <= lo and hi <= bhi for blo, bhi in other.intervals)
             for lo, hi in self.intervals
         )
-
-    def isolated_at(self, x: float) -> bool:
-        """True iff the component containing x is the single point {x}."""
-        lo, hi = self.intervals[self.interval_index_of(x)]
-        return lo == hi
 
     def to_json(self) -> dict:
         return {"intervals": [[lo, hi] for lo, hi in self.intervals]}
@@ -197,6 +185,8 @@ class GeneratorDescriptor(_Record):
     properness: Properness
 
     def __post_init__(self):
+        if type(self.properness) is not Properness:
+            raise NotAdmissible(f"properness must be a Properness, got {self.properness!r}")
         if self.properness is Properness.NON_PROPER and not nonproper_admissible(self.spectrum):
             raise NotAdmissible(
                 "non-proper generators exist only when the spectrum minus {0, 1} "
@@ -222,15 +212,12 @@ class GeneratorDescriptor(_Record):
 def nonproper_admissible(s: ScalingSpectrum) -> bool:
     """Whether a non-proper generator with this spectrum exists.
 
-    Requires the spectrum minus {0, 1} to be non-empty and compact; on the
-    interval representation that means 0 and 1 are isolated points and at
-    least one further component exists.
+    Requires the spectrum minus {0, 1} to be non-empty and compact: 0 and 1 are
+    isolated points (0 the first interval, as endpoints are >= 0) and at least
+    one further interval exists.
     """
-    return (
-        s.set.isolated_at(0.0)
-        and s.set.isolated_at(1.0)
-        and len(s.set.intervals) >= 3
-    )
+    ivs = s.set.intervals
+    return ivs[0] == (0.0, 0.0) and (1.0, 1.0) in ivs and len(ivs) >= 3
 
 
 def hom_exists(x: GeneratorDescriptor, y: GeneratorDescriptor) -> bool:

@@ -86,7 +86,7 @@ class WoldReport:
         }
 
 
-def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = None) -> WoldReport:
+def wold_decompose(x: np.ndarray, tol: float = 1e-9) -> WoldReport:
     """Split x into shift-type, unitary and kernel summands.
 
     The recursion carries only the n x r fiber bases, so a call does a fixed
@@ -96,16 +96,14 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
     Raises :class:`NotScalinglike` when the scaling identity fails beyond tol
     away from the boundary, :class:`NotAdmissible` when tol is at or above the
     largest singular value of a nonzero x, :class:`NoConvergence` when the
-    fiber recursion exceeds max_steps (default: the dimension) without dying
-    out, and :class:`DimensionMismatch` on an empty or non-square x.
+    fiber recursion is still alive after n steps (orthogonal fibers cannot
+    number more than the dimension n), and :class:`DimensionMismatch` on an empty or non-square x.
     """
     # one SVD serves the scaling gate, the residual, the shift basis and the kernel basis
     x, left, s, right, cross, rank = _factor(x, tol)
     defect_norm = _defect_of_svd(s, right, cross, None).residual_norm
     del cross
     n = x.shape[0]
-    if max_steps is None:
-        max_steps = n
 
     ker = right[rank:].conj().T
     q0_basis = _shift_basis(left[:, rank:], ker)
@@ -127,8 +125,8 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9, max_steps: int | None = Non
             tail_norm = opnorm(image) ** 2
             if tail_norm < 0.5:
                 break
-            if len(fiber_bases) >= max_steps:
-                raise NoConvergence(f"fiber recursion still alive after {max_steps} steps")
+            if len(fiber_bases) >= n:
+                raise NoConvergence(f"fiber recursion still alive after {n} steps")
             fiber_bases.append(image)
         stacked = np.hstack(fiber_bases)
         proj_defect, ortho_defect = _fiber_defects(stacked, len(fiber_bases))

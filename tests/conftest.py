@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from scalex.errors import NotAdmissible
+from scalex.ktheory import PuncturedSet
 from scalex.operators import BOUNDARY_TOL, HERMITIAN_TOL, opnorm
 from scalex.spectra import (
     GeneratorDescriptor,
@@ -47,6 +48,38 @@ def descriptors(draw):
     if nonproper_admissible(spectrum) and draw(st.booleans()):
         return GeneratorDescriptor(spectrum, Properness.NON_PROPER)
     return GeneratorDescriptor(spectrum, Properness.PROPER)
+
+
+def k_ranks_oracle(p: PuncturedSet) -> tuple[int, int]:
+    """K-ranks from the membership predicate alone: each maximal connected piece,
+    closed (K0), open (K1) or half-open (nothing), is found by probing marks and midpoints."""
+    marks = sorted(
+        {lo for lo, _ in p.base.intervals}
+        | {hi for _, hi in p.base.intervals}
+        | set(p.removed)
+    )
+    atoms = []  # (is_point, lo, hi, member)
+    for i, m in enumerate(marks):
+        atoms.append((True, m, m, p.contains(m)))
+        if i + 1 < len(marks):
+            mid = (m + marks[i + 1]) / 2.0
+            atoms.append((False, m, marks[i + 1], p.contains(mid)))
+    k0 = k1 = 0
+    run = None  # [lo, hi, lo_closed, hi_closed]
+    for is_point, lo, hi, member in atoms + [(True, None, None, False)]:
+        if member:
+            if run is None:
+                run = [lo, hi, is_point, is_point]
+            else:
+                run[1], run[3] = hi, is_point
+        elif run is not None:
+            lo_closed, hi_closed = run[2], run[3]
+            if lo_closed and hi_closed:
+                k0 += 1
+            elif not lo_closed and not hi_closed:
+                k1 += 1
+            run = None
+    return k0, k1
 
 
 def random_positive_definite(rng: np.random.Generator, dim: int, lo=0.3, hi=1.8) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every expected value is either hand-derived or computed by an
-independent oracle inside this file.
+independent oracle inside this file or in conftest.
 """
 
 import functools
@@ -38,7 +38,7 @@ from scalex.spectra import (
 )
 from scalex.wold import wold_decompose
 
-from conftest import random_positive_definite
+from conftest import k_ranks_oracle, random_positive_definite
 
 
 def criterion(num, name):
@@ -263,37 +263,6 @@ def test_c7_matrix_units():
         assert worst[1.0] <= 1e-10 < worst[0.5], (fiber, depth, worst)
 
 
-def _k_ranks_oracle(p: PuncturedSet) -> tuple[int, int]:
-    """Independent component classification from the membership predicate."""
-    marks = sorted(
-        {lo for lo, _ in p.base.intervals}
-        | {hi for _, hi in p.base.intervals}
-        | set(p.removed)
-    )
-    atoms = []  # (is_point, lo, hi, member)
-    for i, m in enumerate(marks):
-        atoms.append((True, m, m, p.contains(m)))
-        if i + 1 < len(marks):
-            mid = (m + marks[i + 1]) / 2.0
-            atoms.append((False, m, marks[i + 1], p.contains(mid)))
-    k0 = k1 = 0
-    run = None  # [lo, hi, lo_closed, hi_closed]
-    for is_point, lo, hi, member in atoms + [(True, None, None, False)]:
-        if member:
-            if run is None:
-                run = [lo, hi, is_point, is_point]
-            else:
-                run[1], run[3] = hi, is_point
-        elif run is not None:
-            lo_closed, hi_closed = run[2], run[3]
-            if lo_closed and hi_closed:
-                k0 += 1
-            elif not lo_closed and not hi_closed:
-                k1 += 1
-            run = None
-    return k0, k1
-
-
 @criterion(8, "K-rank computation against the component oracle")
 def test_c8_k_oracle():
     rng = np.random.default_rng(808)
@@ -316,7 +285,7 @@ def test_c8_k_oracle():
                     removed.add(float(rng.uniform(lo, hi)))
         p = PuncturedSet(base, tuple(removed))
         got = k_of_functions(p)
-        assert (got.k0_rank, got.k1_rank) == _k_ranks_oracle(p)
+        assert (got.k0_rank, got.k1_rank) == k_ranks_oracle(p)
 
     # Coburn's case: the proper descriptor on {0, 1} generates the Toeplitz algebra, K = (Z, 0)
     coburn = k_of_generator(GeneratorDescriptor(ScalingSpectrum.from_intervals([(0, 0), (1, 1)]), Properness.PROPER))

@@ -64,10 +64,15 @@ def distance_to(spectrum, v):
     return min(max(lo - v, v - hi, 0.0) for lo, hi in spectrum.set.intervals)
 
 
+def interval_of(spectrum, v):
+    """Index of the interval of the spectrum that holds v."""
+    return next(i for i, (lo, hi) in enumerate(spectrum.set.intervals) if lo <= v <= hi)
+
+
 def sample_spacing(spectrum, values):
     """Largest distance between consecutive planted values in [0, 1] of one component."""
     values = sorted(v for v in {0.0, 1.0, *values} if v <= 1.0)
-    index = [spectrum.set.interval_index_of(v) for v in values]
+    index = [interval_of(spectrum, v) for v in values]
     steps = [b - a for a, b, i, j in zip(values, values[1:], index, index[1:]) if i == j]
     return max(steps, default=0.0)
 

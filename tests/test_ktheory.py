@@ -3,63 +3,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scalex.errors import InvalidInterval, NotAdmissible, NotMember
-from scalex.ktheory import (
-    KGroupResult,
-    PuncturedSet,
-    components,
-    k_of_functions,
-    k_of_generator,
-)
+from scalex.ktheory import KGroupResult, PuncturedSet, k_of_functions, k_of_generator
 from scalex.spectra import GeneratorDescriptor, Properness, ScalingSpectrum, nonproper_admissible, normalize
 
-from conftest import scaling_spectra, spectral_sets
+from conftest import k_ranks_oracle, scaling_spectra, spectral_sets
 
 
 def punctured(pairs, removed=()):
     return PuncturedSet(normalize(pairs), tuple(removed))
 
 
-def kinds(p):
-    return [c.kind for c in components(p)]
-
-
-def in_component(c, x):
-    """Whether x lies in the component c, read from its endpoints and their closedness."""
-    return c.lo < x < c.hi or (x == c.lo and c.lo_closed) or (x == c.hi and c.hi_closed)
-
-
-class TestComponents:
-    def test_whole_interval(self):
-        comps = components(punctured([(0, 1)]))
-        assert kinds(punctured([(0, 1)])) == ["closed"]
-        assert (comps[0].lo, comps[0].hi) == (0.0, 1.0)
-
-    def test_left_endpoint_removed(self):
-        comps = components(punctured([(0, 1)], [0]))
-        assert [(c.lo, c.hi, c.lo_closed, c.hi_closed) for c in comps] == [(0.0, 1.0, False, True)]
-        assert kinds(punctured([(0, 1)], [0])) == ["half-open"]
-
-    def test_interior_split(self):
-        comps = components(punctured([(0, 1)], [0.5]))
-        assert [(c.lo, c.hi, c.lo_closed, c.hi_closed) for c in comps] == [
-            (0.0, 0.5, True, False),
-            (0.5, 1.0, False, True),
-        ]
-
-    def test_both_endpoints_removed(self):
-        assert kinds(punctured([(0, 1)], [0, 1])) == ["open"]
-
-    def test_removed_point_kills_point_component(self):
-        assert kinds(punctured([(0, 0), (1, 1)], [0])) == ["point"]
-
-    def test_increasing_order(self):
-        comps = components(punctured([(0, 1), (2, 2), (3, 4)], [0.5, 3]))
-        assert [c.lo for c in comps] == sorted(c.lo for c in comps)
-
-    def test_membership_consistency(self):
-        p = punctured([(0, 1), (2, 2)], [0, 0.25])
-        for x in [0.0, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0]:
-            assert any(in_component(c, x) for c in components(p)) == p.contains(x)
+@st.composite
+def grid_punctured_sets(draw):
+    """Punctured sets with every endpoint and puncture a multiple of 1/8, up to 4 punctures per interval."""
+    ends = st.integers(0, 32)
+    base = normalize(sorted((a / 8, b / 8)) for a, b in draw(st.lists(st.tuples(ends, ends), max_size=4)))
+    removed = []
+    for lo, hi in base.intervals:
+        grid = [k / 8 for k in range(round(lo * 8), round(hi * 8) + 1)]
+        removed += draw(st.lists(st.sampled_from(grid), max_size=4, unique=True))
+    return PuncturedSet(base, tuple(removed))
 
 
 class TestPuncturedSet:
@@ -93,6 +56,31 @@ class TestKOfFunctions:
 
     def test_open_interval_suspension(self):
         assert k_of_functions(punctured([(0, 1)], [0, 1])) == KGroupResult(0, 1)
+
+    @pytest.mark.parametrize(
+        "pairs, removed, want",
+        [
+            ([(0, 1)], [], (1, 0)),
+            # [0, 1/2) and (1/2, 1] are both half-open
+            ([(0, 1)], [0.5], (0, 0)),
+            ([(0, 0), (1, 1)], [0], (1, 0)),
+            # [0, 1/2), (1/2, 1], {2}, (3, 4]
+            ([(0, 1), (2, 2), (3, 4)], [0.5, 3], (1, 0)),
+            # (0, 1/4), (1/4, 1], {2}
+            ([(0, 1), (2, 2)], [0, 0.25], (1, 1)),
+            # three open pieces between four punctures, and nothing at either end
+            ([(0, 1)], [0, 0.25, 0.5, 1], (0, 3)),
+        ],
+        ids=["closed", "interior-split", "point-removed", "three-intervals", "open-and-point", "four-punctures"],
+    )
+    def test_ranks(self, pairs, removed, want):
+        assert k_of_functions(punctured(pairs, removed)) == KGroupResult(*want)
+
+    @given(grid_punctured_sets())
+    def test_matches_the_membership_oracle(self, p):
+        # up to 4 punctures an interval reach c >= 2 interior ones, which acceptance c8 never draws
+        got = k_of_functions(p)
+        assert (got.k0_rank, got.k1_rank) == k_ranks_oracle(p)
 
     @given(spectral_sets(max_intervals=4), spectral_sets(max_intervals=4))
     def test_additive_over_shifted_union(self, a, b):
@@ -139,6 +127,11 @@ class TestKOfGenerator:
         with pytest.raises(NotAdmissible):
             descriptor(pairs, proper=False)
 
+    def test_flag_that_is_not_a_properness_is_refused(self):
+        # a string is not the enum: k_of_generator would read "nonproper" as non-proper, hom_exists as proper
+        with pytest.raises(NotAdmissible, match="^properness must be a Properness, got 'nonproper'$"):
+            k_of_generator(GeneratorDescriptor(ScalingSpectrum.from_intervals([(0, 1)]), "nonproper"))
+
     @given(scaling_spectra())
     def test_one_puncture(self, s):
         # proper: puncture {0}; non-proper, where the spectrum admits it: puncture {0, 1}
@@ -149,41 +142,12 @@ class TestKOfGenerator:
 
 
 class TestFiniteCaseConsistency:
-    @given(st.data())
-    def test_no_infinite_projection_forces_component_count(self, data):
+    @given(scaling_spectra())
+    def test_no_infinite_projection_forces_component_count(self, s):
         from scalex.spectra import has_infinite_projection
 
-        s = data.draw(scaling_spectra())
         if has_infinite_projection(s):
             return
-        # [0,1] covered: puncturing 0 turns the component of 1 half-open
-        punctured_spec = PuncturedSet(s.set, (0.0,))
-        comps = components(punctured_spec)
-        one_comp = next(c for c in comps if in_component(c, 1.0))
-        assert one_comp.kind == "half-open"
-        closed = sum(1 for c in comps if c.kind in ("closed", "point"))
+        # [0, 1] covered: puncturing 0 leaves the interval holding it half-open, every other one closed
         d = GeneratorDescriptor(s, Properness.PROPER)
-        assert k_of_generator(d) == KGroupResult(closed, 0)
-
-
-class TestEvaluationComponent:
-    # evaluation at v hits the K0 generator of the component holding v
-    def test_second_component(self):
-        assert normalize([(0, 0), (0.5, 1)]).interval_index_of(1) == 1
-
-    def test_first_component(self):
-        assert normalize([(0, 0), (0.5, 1)]).interval_index_of(0) == 0
-
-    def test_single_component(self):
-        assert normalize([(0, 1)]).interval_index_of(0.3) == 0
-
-    def test_not_member(self):
-        with pytest.raises(NotMember):
-            normalize([(0, 0), (1, 1)]).interval_index_of(0.5)
-
-    @given(spectral_sets(max_intervals=4), st.floats(0, 4, allow_nan=False), st.floats(0, 4, allow_nan=False))
-    def test_same_class_iff_same_component(self, s, v, w):
-        if not (s.contains(v) and s.contains(w)):
-            return
-        same_component = any(lo <= v <= hi and lo <= w <= hi for lo, hi in s.intervals)
-        assert (s.interval_index_of(v) == s.interval_index_of(w)) == same_component
+        assert k_of_generator(d) == KGroupResult(len(s.set.intervals) - 1, 0)

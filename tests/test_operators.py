@@ -227,6 +227,17 @@ class TestSynthesize:
         with pytest.raises(NotAdmissible):
             synthesize(spectrum((0, 0), (1, 1)), Properness.PROPER, 2)
 
+    def test_flag_must_be_a_properness(self):
+        # a string is not the enum: read as a flag, "nonproper" would build a proper model, the eigenvalue 1 in A
+        with pytest.raises(NotAdmissible, match="^properness must be a Properness, got 'nonproper'$"):
+            synthesize(spectrum((0, 0), (0.5, 0.5), (1, 1)), "nonproper", 4)
+
+    @pytest.mark.parametrize("samples", [3.0, 5.5, True])
+    def test_samples_must_be_an_int(self, samples):
+        # a float would reach numpy as a size, and True would count as 1
+        with pytest.raises(NotAdmissible, match="^samples_per_interval must be an int, got "):
+            synthesize(spectrum((0, 0), (0.3, 0.6), (1, 1)), Properness.PROPER, 5, samples)
+
     def test_negative_samples_refused(self):
         # 0 to 2 samples take only the endpoints; fewer than 0 is no count at all
         s = spectrum((0, 0), (0.3, 0.6), (1, 1))

@@ -102,6 +102,7 @@ RETIRED = [
     "matrix_units", "pair_relation_check", "shift_action", "NotIsolated", "IndexOutOfDepth",
     "require_square", "is_empty", "proper_default", "ev_component_class", "dimension", "boundary_q_index",
     "k_of_toeplitz_algebra", "k_of_quotient_algebra", "without",
+    "Component", "components", "isolated_at", "interval_index_of",
 ]
 
 
@@ -124,6 +125,5 @@ def test_retired_names_are_gone(name, wold_report):
 
 
 def test_component_has_no_membership_test():
-    # a component is its endpoints and their closedness; `contains` stays on the sets
-    assert not hasattr(scalex.ktheory.Component, "contains")
+    # `contains` stays on the sets: the K-rank oracle probes a punctured set through it
     assert hasattr(scalex.spectra.SpectralSet, "contains") and hasattr(scalex.ktheory.PuncturedSet, "contains")

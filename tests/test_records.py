@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from scalex.errors import InvalidInterval, NotAdmissible, NotMember
-from scalex.ktheory import Component, KGroupResult, PuncturedSet
+from scalex.ktheory import KGroupResult, PuncturedSet
 from scalex.spectra import GeneratorDescriptor, Properness, ScalingSpectrum, SpectralSet
 
 POINTS = SpectralSet(((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)))
@@ -22,7 +22,6 @@ RECORDS = {
         (ScalingSpectrum(POINTS), Properness.PROPER),
     ),
     KGroupResult: (("k0_rank", "k1_rank"), (2, 0), (1, 1)),
-    Component: (("lo", "hi", "lo_closed", "hi_closed"), (0.0, 1.0, True, False), (0.0, 1.0, True, True)),
     PuncturedSet: (("base", "removed"), (FULL, (0.0,)), (FULL, (0.0, 1.0))),
 }
 CASES = list(RECORDS.items())
@@ -100,7 +99,7 @@ def test_wrong_arguments_are_type_errors(cls, spec):
 
 def test_defaults_and_required_fields():
     assert PuncturedSet(FULL) == PuncturedSet(FULL, ()) == PuncturedSet(base=FULL)
-    for cls in (SpectralSet, ScalingSpectrum, KGroupResult, Component, PuncturedSet):
+    for cls in (SpectralSet, ScalingSpectrum, KGroupResult, PuncturedSet):
         with pytest.raises(TypeError):
             cls()
     with pytest.raises(TypeError):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scalex.errors import InvalidInterval, NegativeEndpoint, NotAdmissible, NotMember
+from scalex.errors import InvalidInterval, NegativeEndpoint, NotAdmissible
 from scalex.spectra import (
     GeneratorDescriptor,
     Properness,
@@ -105,19 +105,12 @@ class TestSubset:
             assert a.is_subset(c)
 
 
-class TestIsolated:
-    def test_singleton_component(self):
-        assert normalize(ZERO_TAIL).isolated_at(0)
-
-    def test_endpoint_of_interval(self):
-        assert not normalize(ZERO_TAIL).isolated_at(1)
-
-    def test_middle_point(self):
-        assert normalize([(0, 0), (0.5, 0.5), (1, 1)]).isolated_at(0.5)
-
-    def test_not_member(self):
-        with pytest.raises(NotMember):
-            normalize(POINTS_01).isolated_at(0.5)
+def isolated(s, v):
+    """Whether v is a point of s with a gap on both sides, probed by s.contains alone: the
+    midpoints between v and its nearest endpoints below and above lie outside s."""
+    ends = {x for iv in s.intervals for x in iv}
+    near = (max((x for x in ends if x < v), default=v), min((x for x in ends if x > v), default=v))
+    return s.contains(v) and not any(s.contains((v + x) / 2) for x in near if x != v)
 
 
 class TestNonproperAdmissible:
@@ -136,7 +129,17 @@ class TestNonproperAdmissible:
     @given(scaling_spectra())
     def test_implies_isolated_endpoints(self, s):
         if nonproper_admissible(s):
-            assert s.set.isolated_at(0.0) and s.set.isolated_at(1.0)
+            assert isolated(s.set, 0.0) and isolated(s.set, 1.0)
+
+    def test_isolated_probe(self):
+        assert isolated(normalize(ZERO_TAIL), 0.0) and not isolated(normalize(ZERO_TAIL), 1.0)
+        assert isolated(normalize(POINTS_0H1), 0.5) and not isolated(normalize(POINTS_01), 0.5)
+
+    @pytest.mark.parametrize("flag", ["nonproper", "proper", None, True])
+    def test_descriptor_flag_must_be_a_properness(self, flag):
+        # a string is not the enum: to_json would read "nonproper" as non-proper, hom_exists as proper
+        with pytest.raises(NotAdmissible, match="^properness must be a Properness, got "):
+            GeneratorDescriptor(spectrum((0, 1)), flag)
 
     def test_descriptor_construction_guard(self):
         with pytest.raises(NotAdmissible):

@@ -82,8 +82,14 @@ class TestWoldTrivialBranches:
             with pytest.raises(NotScalinglike):
                 wold_decompose(x)
 
-    def test_no_convergence_with_tiny_budget(self):
-        with pytest.raises(NoConvergence):
+    def test_no_convergence_with_tiny_budget(self, monkeypatch):
+        # a recursion that never dies out is stopped once it has as many fibers as dimensions
+        monkeypatch.setattr("scalex.wold.opnorm", lambda m: 1.0)
+        with pytest.raises(NoConvergence, match="^fiber recursion still alive after 8 steps$"):
+            wold_decompose(realize(diag_model(8, 1.0)))
+
+    def test_step_budget_is_not_an_option(self):
+        with pytest.raises(TypeError):
             wold_decompose(realize(diag_model(8, 1.0)), max_steps=2)
 
 
