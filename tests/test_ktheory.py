@@ -46,6 +46,14 @@ class TestPuncturedSet:
         p = punctured([(0, 1)], [0.5])
         assert PuncturedSet.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize(
+        "x, member",
+        [(0.0, False), (0.1, True), (0.25, False), (0.5, True), (1.0, True), (1.5, False), (2.0, True)],
+    )
+    def test_contains(self, x, member):
+        # the K-rank oracle sees the set only through this predicate: removed points and gaps are out
+        assert punctured([(0, 1), (2, 2)], [0, 0.25]).contains(x) == member
+
 
 class TestKOfFunctions:
     def test_two_points(self):
@@ -57,7 +65,7 @@ class TestKOfFunctions:
     def test_open_interval_suspension(self):
         assert k_of_functions(punctured([(0, 1)], [0, 1])) == KGroupResult(0, 1)
 
-    @pytest.mark.parametrize(
+    RANKS = pytest.mark.parametrize(
         "pairs, removed, want",
         [
             ([(0, 1)], [], (1, 0)),
@@ -73,8 +81,15 @@ class TestKOfFunctions:
         ],
         ids=["closed", "interior-split", "point-removed", "three-intervals", "open-and-point", "four-punctures"],
     )
+
+    @RANKS
     def test_ranks(self, pairs, removed, want):
         assert k_of_functions(punctured(pairs, removed)) == KGroupResult(*want)
+
+    @RANKS
+    def test_oracle_ranks(self, pairs, removed, want):
+        # the oracle the hypothesis test and acceptance c8 trust is itself held to the hand-derived ranks
+        assert k_ranks_oracle(punctured(pairs, removed)) == want
 
     @given(grid_punctured_sets())
     def test_matches_the_membership_oracle(self, p):
