@@ -24,10 +24,10 @@ from .ktheory import (
 # lab module -> public names; numpy loads with the first of them that is used
 _LAB = {
     "operators": (
-        "PropernessVerdict", "TruncatedShiftModel", "classify_properness", "conjugate_random",
-        "estimate_spectrum", "infinite_projection_witness", "realize", "scaling_defect", "synthesize",
+        "PropernessVerdict", "TruncatedShiftModel", "classify_properness", "estimate_spectrum",
+        "infinite_projection_witness", "realize", "synthesize",
     ),
-    "wold": ("WoldReport", "polar", "reconstruct", "wold_decompose"),
+    "wold": ("WoldReport", "reconstruct", "wold_decompose"),
 }
 
 __version__ = "0.1.0"

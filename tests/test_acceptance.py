@@ -17,11 +17,9 @@ from scalex.ktheory import PuncturedSet, k_of_functions, k_of_generator
 from scalex.operators import (
     TruncatedShiftModel,
     classify_properness,
-    conjugate_random,
     estimate_spectrum,
     infinite_projection_witness,
     opnorm,
-    random_unitary,
     realize,
     synthesize,
 )
@@ -38,7 +36,7 @@ from scalex.spectra import (
 )
 from scalex.wold import wold_decompose
 
-from conftest import k_ranks_oracle, random_positive_definite
+from conftest import conjugate_random, k_ranks_oracle, random_positive_definite, random_unitary
 
 
 def criterion(num, name):
@@ -217,8 +215,9 @@ def test_c6_witness():
         assert has_infinite_projection(s)
         model = synthesize(s, Properness.PROPER, depth=6, samples_per_interval=3, seed=1)
         x = realize(model)
-        _, rep = infinite_projection_witness(x, c)
-        assert rep.projection_defect <= 1e-8
+        u, rep = infinite_projection_witness(x, c)
+        p = u.conj().T @ u  # a projection by construction
+        assert opnorm(p @ p - p) <= 1e-8
         assert rep.dominated
         assert rep.norm_difference >= 0.5
         assert rep.infinite_projection_witnessed

@@ -10,10 +10,12 @@ import sys
 import time
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
+from scalex import matio
 from scalex.cli import main
-from scalex.operators import classify_properness, estimate_spectrum, infinite_projection_witness
+from scalex.operators import classify_properness, estimate_spectrum, infinite_projection_witness, realize
 from scalex.wold import wold_decompose
 
 POINTS_01 = '{"intervals": [[0,0],[1,1]]}'
@@ -208,6 +210,29 @@ class TestPipeline:
         code, rep = run(capsys, "synth", "--spec", POINTS_0H1, "--samples", "-1", "--out", str(out))
         assert code == 3 and rep["kind"] == "NotAdmissible"
         assert not out.exists()
+
+    def test_synth_negative_seed_exits_3_and_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        code, rep = run(capsys, "synth", "--spec", POINTS_0H1, "--seed", "-1", "--out", str(out))
+        assert (code, rep["kind"], rep["error"]) == (3, "NotAdmissible", "seed must be an int >= 0, got -1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["proper", "nonproper"])
+    @pytest.mark.parametrize("cluster_tol", ["1e-8", "0.1"])
+    @pytest.mark.parametrize("top", [2, 10, 100, 1000, 1e4, 1e5])
+    def test_synth_estimate_is_the_realized_models(self, capsys, monkeypatch, tmp_path, top, cluster_tol, flag):
+        # at depth >= 3 the realized model's singular values are exactly 0, the weights and 1, so synth
+        # reads its estimate off the weights and factors nothing of the model's size
+        spec = json.dumps({"intervals": [[0, 0], [0.25, 0.5], [1, 1], [top, top]]})
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+        code, rep = run(capsys, "synth", "--spec", spec, "--properness", flag, "--depth", "5", "--samples", "7",
+                        "--seed", "3", "--cluster-tol", cluster_tol, "--out", str(tmp_path))
+        monkeypatch.undo()
+        assert code == 0, rep
+        model = matio.load_model(rep["model_path"])
+        assert rep["estimated_spectrum"] == estimate_spectrum(realize(model), float(cluster_tol)).to_json()
+        assert shapes == [(model.fiber_dim + 2,) * 2]
 
     # spectrum, synth flags, witness flags: a gap at every cut but 0.5, and a spectrum covering (0, 1)
     SWEEPS = [

@@ -15,10 +15,9 @@ from scalex.errors import NoGap
 from scalex.operators import (
     TruncatedShiftModel,
     classify_properness,
-    conjugate_random,
     estimate_spectrum,
     infinite_projection_witness,
-    random_unitary,
+    opnorm,
     realize,
     synthesize,
 )
@@ -30,6 +29,8 @@ from scalex.spectra import (
     normalize,
 )
 from scalex.wold import wold_decompose
+
+from conftest import conjugate_random, random_unitary
 
 # components strictly inside (0, 1) sit in these slots, so 0 and 1 stay isolated
 SLOTS = [(0.15, 0.3), (0.45, 0.6), (0.75, 0.85)]
@@ -153,8 +154,9 @@ def assert_witnesses_follow_the_engine(x, spectrum, values):
     witnessed = []
     for hi, lo in gaps(estimate_spectrum(x, cluster_tol)):
         c = (hi + lo) / 2
-        _, rep = infinite_projection_witness(x, c, cluster_tol=cluster_tol)
-        witnessed.append(rep.projection_defect <= 1e-8 and rep.dominated and rep.norm_difference >= 0.5)
+        u, rep = infinite_projection_witness(x, c, cluster_tol=cluster_tol)
+        p = u.conj().T @ u  # a projection by construction
+        witnessed.append(opnorm(p @ p - p) <= 1e-8 and rep.dominated and rep.norm_difference >= 0.5)
         assert rep.infinite_projection_witnessed is (rep.dominated and rep.norm_difference >= 0.5)
     assert all(witnessed)
     assert bool(witnessed) is has_infinite_projection(spectrum)

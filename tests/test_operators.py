@@ -6,17 +6,15 @@ import pytest
 from scalex import matio, operators
 from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NonFiniteEntry, NotAdmissible, NotScalinglike
 from scalex.operators import (
+    _defect_of_svd,
     _factor,
     _shift_basis,
     TruncatedShiftModel,
     classify_properness,
-    conjugate_random,
     estimate_spectrum,
     infinite_projection_witness,
     opnorm,
-    random_unitary,
     realize,
-    scaling_defect,
     synthesize,
 )
 from scalex.spectra import Properness, ScalingSpectrum
@@ -25,12 +23,21 @@ from scalex.wold import wold_decompose
 from conftest import (
     PiecewiseFunction,
     UndefinedAt,
+    conjugate_random,
     cyclic_shift,
     functional_calculus,
     random_positive_definite,
+    random_unitary,
     reference_defect,
 )
 from test_factor_once import operand
+
+
+def svd_defect(x, fiber_dim=None):
+    """The lab's scaling residual and slot flag, read from x's own SVD with no scaling gate: for
+    operands the gate refuses, or that classify_properness gives no verdict."""
+    left, s, vh = np.linalg.svd(np.asarray(x, dtype=complex))
+    return _defect_of_svd(s, vh, vh @ left, fiber_dim)
 
 
 def model(d, n, a):
@@ -129,12 +136,12 @@ class TestScalingDefect:
         w = conjugate_random(np.eye(4, dtype=complex), 7)  # still the identity
         theta = np.exp(2j * np.pi * rng.uniform(size=4))
         u = conjugate_random(np.diag(theta), 11)
-        assert scaling_defect(u).residual_norm <= 1e-12
+        assert wold_decompose(u).residuals["scaling_defect"] <= 1e-12
 
     def test_truncated_model_boundary(self):
-        d = scaling_defect(realize(diag_model(3, 0.5)), fiber_dim=1)
-        assert abs(d.residual_norm - 1.0) <= 1e-12
-        assert d.boundary_localized is True
+        v = classify_properness(realize(diag_model(3, 0.5)), fiber_dim=1)
+        assert abs(v.scaling_residual - 1.0) <= 1e-12
+        assert v.boundary_localized is True
 
     def test_residual_row_support(self):
         x = realize(diag_model(3, 0.5))
@@ -142,17 +149,19 @@ class TestScalingDefect:
         assert opnorm(r[:2, :]) <= 1e-14  # all rows except the last slot vanish
 
     def test_zero_matrix(self):
-        d = scaling_defect(np.zeros((3, 3)), fiber_dim=1)
-        assert d.residual_norm == 0.0 and d.boundary_localized is True
+        # no shift summand, so no verdict: the residual comes from the SVD itself
+        assert wold_decompose(np.zeros((3, 3))).residuals["scaling_defect"] == 0.0
+        assert svd_defect(np.zeros((3, 3)), fiber_dim=1) == (0.0, True)
 
     def test_no_fiber_structure(self):
-        assert scaling_defect(np.zeros((3, 3))).boundary_localized is None
+        assert svd_defect(np.zeros((3, 3)))[1] is None
 
     def test_generic_matrix_not_localized(self, rng):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        got, (norm, localized) = scaling_defect(x, fiber_dim=1), reference_defect(x, fiber_dim=1)
-        assert got.boundary_localized is localized is False
-        assert abs(got.residual_norm - norm) <= 1e-12 * norm
+        # the scaling gate refuses a generic matrix
+        (got_norm, got_localized), (norm, localized) = svd_defect(x, fiber_dim=1), reference_defect(x, fiber_dim=1)
+        assert got_localized is localized is False
+        assert abs(got_norm - norm) <= 1e-12 * norm
 
     # operands on which the residual read from the SVD could drift from R formed directly,
     # with their fiber dimensions: a residual on the whole support, weights within 1e-11
@@ -172,9 +181,15 @@ class TestScalingDefect:
     def test_matches_the_direct_residual(self, name, with_fd):
         make, fiber_dim = self.DRIFT[name]
         x, fiber_dim = make(), fiber_dim if with_fd else None
-        got, (norm, localized) = scaling_defect(x, fiber_dim), reference_defect(x, fiber_dim)
-        assert abs(got.residual_norm - norm) <= 1e-12 * max(1.0, norm)
-        assert got.boundary_localized is localized
+        if name.startswith("cyclic"):  # the scaling gate refuses these: read the residual off the SVD
+            got = svd_defect(x, fiber_dim)
+        else:
+            v = classify_properness(x, fiber_dim=fiber_dim)
+            got = (v.scaling_residual, v.boundary_localized)
+            assert wold_decompose(x).residuals["scaling_defect"] == v.scaling_residual
+        norm, localized = reference_defect(x, fiber_dim)
+        assert abs(got[0] - norm) <= 1e-12 * max(1.0, norm)
+        assert got[1] is localized
 
 
 class TestEstimateSpectrum:
@@ -237,6 +252,12 @@ class TestSynthesize:
         # a float would reach numpy as a size, and True would count as 1
         with pytest.raises(NotAdmissible, match="^samples_per_interval must be an int, got "):
             synthesize(spectrum((0, 0), (0.3, 0.6), (1, 1)), Properness.PROPER, 5, samples)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # numpy refuses -1 and 1.5 with a bare ValueError or TypeError, and would read True as 1
+        with pytest.raises(NotAdmissible, match=f"^seed must be an int >= 0, got {seed}$"):
+            synthesize(spectrum((0, 0), (0.3, 0.6), (1, 1)), Properness.PROPER, 5, seed=seed)
 
     def test_negative_samples_refused(self):
         # 0 to 2 samples take only the endpoints; fewer than 0 is no count at all
@@ -331,13 +352,13 @@ class TestClassifyProperness:
         v, (norm, localized) = classify_properness(x, fiber_dim=fiber_dim), reference_defect(x, fiber_dim)
         assert abs(v.scaling_residual - norm) <= 1e-12 * max(1.0, norm)
         assert v.boundary_localized is localized
-        assert (v.scaling_residual, v.boundary_localized) == tuple(scaling_defect(x, fiber_dim))
+        assert (v.scaling_residual, v.boundary_localized) == svd_defect(x, fiber_dim)
 
     def test_fiber_dim_must_divide_the_dimension(self):
         with pytest.raises(NotAdmissible, match="not a multiple"):
             classify_properness(realize(diag_model(5, 0.5)), fiber_dim=2)
 
-    @pytest.mark.parametrize("call", [scaling_defect, classify_properness])
+    @pytest.mark.parametrize("call", [svd_defect, classify_properness], ids=["scaling_defect", "classify_properness"])
     @pytest.mark.parametrize("fiber_dim", [0, -1, 2.0, True])
     def test_fiber_dim_must_be_an_int_of_at_least_one(self, call, fiber_dim):
         # 0 would divide by zero, -1 divides every dimension yet names no slot,
@@ -447,10 +468,9 @@ def test_shift_summand_test_is_the_half_cut_of_right_minus_left_support(seed):
 )
 @pytest.mark.parametrize(
     "call",
-    [scaling_defect, classify_properness, lambda x: estimate_spectrum(x, 1e-8),
-     lambda x: infinite_projection_witness(x, 0.5), wold_decompose],
-    ids=["scaling_defect", "classify_properness", "estimate_spectrum", "infinite_projection_witness",
-         "wold_decompose"],
+    [classify_properness, lambda x: estimate_spectrum(x, 1e-8), lambda x: infinite_projection_witness(x, 0.5),
+     wold_decompose],
+    ids=["classify_properness", "estimate_spectrum", "infinite_projection_witness", "wold_decompose"],
 )
 def test_bad_shape_is_a_dimension_mismatch(call, x):
     # the shape is checked before the entries: a 2x3 matrix of NaN is a shape error
@@ -462,10 +482,8 @@ def test_bad_shape_is_a_dimension_mismatch(call, x):
 @NON_FINITE
 @pytest.mark.parametrize(
     "call",
-    [estimate_spectrum, scaling_defect, classify_properness, lambda x: infinite_projection_witness(x, 0.5),
-     wold_decompose],
-    ids=["estimate_spectrum", "scaling_defect", "classify_properness", "infinite_projection_witness",
-         "wold_decompose"],
+    [estimate_spectrum, classify_properness, lambda x: infinite_projection_witness(x, 0.5), wold_decompose],
+    ids=["estimate_spectrum", "classify_properness", "infinite_projection_witness", "wold_decompose"],
 )
 def test_non_finite_operand_is_refused_before_any_factorization(unfactored, call, value):
     x = np.eye(3, k=-1)
@@ -505,7 +523,7 @@ OVERFLOWING = {
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", OVERFLOWING)
 @pytest.mark.parametrize(
-    "call", [lambda x: scaling_defect(x, 1), classify_properness, wold_decompose],
+    "call", [lambda x: svd_defect(x, 1), classify_properness, wold_decompose],
     ids=["scaling_defect", "classify_properness", "wold_decompose"],
 )
 def test_overflowing_scaling_residual_is_refused(call, name):
@@ -519,7 +537,8 @@ def test_large_representable_scaling_residual_is_answered():
     x = np.array([[0.0, 0.0], [1e120, 0.0]])
     v = classify_properness(x)
     assert (v.verdict, v.scaling_residual) == (Properness.NON_PROPER, 1e120)
-    assert scaling_defect(x, 1) == (1e120, True)
+    v = classify_properness(x, fiber_dim=1)
+    assert (v.scaling_residual, v.boundary_localized) == (1e120, True)
     r = wold_decompose(x)
     assert r.q_ranks == [1, 1] and r.a_eigenvalues == pytest.approx([1e120])
 
@@ -553,7 +572,8 @@ class TestWitness:
     def test_weight_above_gap(self):
         x = realize(diag_model(6, 0.75))
         u, rep = infinite_projection_witness(x, 0.5)
-        assert rep.projection_defect <= 1e-10
+        p = u.conj().T @ u
+        assert opnorm(p @ p - p) <= 1e-10
         assert rep.dominated
         assert rep.norm_difference >= 0.9
 
@@ -593,6 +613,6 @@ class TestConjugateRandom:
 
     def test_defect_invariant(self):
         x = realize(diag_model(5, 0.5))
-        d0 = scaling_defect(x).residual_norm
-        d1 = scaling_defect(conjugate_random(x, 17)).residual_norm
+        d0 = wold_decompose(x).residuals["scaling_defect"]
+        d1 = wold_decompose(conjugate_random(x, 17)).residuals["scaling_defect"]
         assert abs(d0 - d1) <= 1e-10

@@ -103,6 +103,7 @@ RETIRED = [
     "require_square", "is_empty", "proper_default", "ev_component_class", "dimension", "boundary_q_index",
     "k_of_toeplitz_algebra", "k_of_quotient_algebra", "without",
     "Component", "components", "isolated_at", "interval_index_of",
+    "scaling_defect", "ScalingDefect", "polar", "conjugate_random", "random_unitary", "projection_defect",
 ]
 
 
@@ -111,15 +112,21 @@ def wold_report():
     return scalex.wold_decompose(scalex.realize(scalex.TruncatedShiftModel(1, 3, [[0.5]])))
 
 
+@pytest.fixture(scope="module")
+def witness_report():
+    return scalex.infinite_projection_witness(scalex.realize(scalex.TruncatedShiftModel(1, 3, [[0.5]])), 0.25)[1]
+
+
 @pytest.mark.parametrize("name", RETIRED)
-def test_retired_names_are_gone(name, wold_report):
+def test_retired_names_are_gone(name, wold_report, witness_report):
     assert name not in scalex.__all__
     assert name not in dir(scalex)
     assert name not in scalex.operators.__all__
     with pytest.raises(AttributeError):
         getattr(scalex, name)
-    owners = (scalex.operators, scalex.errors, scalex.spectra, scalex.ktheory, scalex.wold.WoldReport, wold_report,
-              scalex.spectra.SpectralSet, scalex.ktheory.PuncturedSet)
+    owners = (scalex.operators, scalex.errors, scalex.spectra, scalex.ktheory, scalex.wold, scalex.wold.WoldReport,
+              wold_report, scalex.operators.WitnessReport, witness_report, scalex.spectra.SpectralSet,
+              scalex.ktheory.PuncturedSet)
     for owner in owners:
         assert not hasattr(owner, name), owner
 

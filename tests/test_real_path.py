@@ -19,11 +19,10 @@ from scalex.operators import (
     estimate_spectrum,
     infinite_projection_witness,
     realize,
-    scaling_defect,
     synthesize,
 )
 from scalex.spectra import Properness, ScalingSpectrum, SpectralSet
-from scalex.wold import polar, wold_decompose
+from scalex.wold import reconstruct, wold_decompose
 
 SPECTRUM = ScalingSpectrum.from_intervals([(0, 0), (0.2, 0.4), (0.6, 0.8), (1, 1)])
 TOL = 1e-10
@@ -72,8 +71,8 @@ def test_reports_match_the_complex_path(flag, seed, with_fd):
     if with_fd:
         assert got.verdict is flag
 
-    got, want = scaling_defect(x, fiber_dim), scaling_defect(xc, fiber_dim)
-    close(got.residual_norm, want.residual_norm)
+    got, want = (classify_properness(z, fiber_dim=fiber_dim) for z in (x, xc))
+    close(got.scaling_residual, want.scaling_residual)
     assert got.boundary_localized is want.boundary_localized
 
     same_set(estimate_spectrum(x, 0.1), estimate_spectrum(xc, 0.1))
@@ -83,7 +82,6 @@ def test_reports_match_the_complex_path(flag, seed, with_fd):
     assert u.dtype == np.complex128
     assert np.abs(d[:, None] * u * d.conj()[None, :] - uc).max() <= TOL
     assert (rep.gap_point, rep.dominated) == (repc.gap_point, repc.dominated)
-    close(rep.projection_defect, repc.projection_defect)
     close(rep.norm_difference, repc.norm_difference)
 
 
@@ -97,10 +95,11 @@ def test_verify_shares_the_residual_with_scaling_defect(capsys, tmp_path, flag):
     for name, op, fd in (("model.json", x, fiber_dim), ("x.mat", x, None), ("xc.mat", xc, None)):
         assert main(["verify", "--in", str(tmp_path / name)]) == 0, name
         verify = json.loads(capsys.readouterr().out)
-        verdict, defect = classify_properness(op), scaling_defect(op, fd)
+        verdict = classify_properness(op, fiber_dim=fd)
         assert verify["verdict"] == verdict.verdict.value
-        assert (verify["scaling_residual"], verify["boundary_localized"]) == tuple(defect), name
-        assert defect.boundary_localized is (True if fd else None)
+        assert (verify["scaling_residual"], verify["boundary_localized"]) == (
+            wold_decompose(op).residuals["scaling_defect"], verdict.boundary_localized), name
+        assert verdict.boundary_localized is (True if fd else None)
 
 
 def factorizations(monkeypatch, call, *args, **kwargs):
@@ -123,18 +122,18 @@ def factorizations(monkeypatch, call, *args, **kwargs):
 
 
 CALLS = [
-    pytest.param(classify_properness, (), id="classify_properness"),
-    pytest.param(scaling_defect, (), id="scaling_defect"),
-    pytest.param(infinite_projection_witness, (0.5,), id="witness"),
-    pytest.param(estimate_spectrum, (0.1,), id="estimate_spectrum"),
+    pytest.param(classify_properness, (), False, id="classify_properness"),
+    pytest.param(classify_properness, (), True, id="classify_properness-fiber_dim"),
+    pytest.param(infinite_projection_witness, (0.5,), False, id="witness"),
+    pytest.param(estimate_spectrum, (0.1,), False, id="estimate_spectrum"),
 ]
 
 
-@pytest.mark.parametrize("fn, args", CALLS)
+@pytest.mark.parametrize("fn, args, with_fd", CALLS)
 @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
-def test_real_operands_factor_in_float64_as_often(monkeypatch, fn, args, flag):
+def test_real_operands_factor_in_float64_as_often(monkeypatch, fn, args, with_fd, flag):
     x, xc, _, fiber_dim = model_pair(flag, 4)
-    kwargs = {"fiber_dim": fiber_dim} if fn is scaling_defect else {}
+    kwargs = {"fiber_dim": fiber_dim} if with_fd else {}
     real = factorizations(monkeypatch, fn, x, *args, **kwargs)
     cplx = factorizations(monkeypatch, fn, xc, *args, **kwargs)
     assert real and {c[2] for c in real} == {np.dtype(float)}
@@ -175,11 +174,11 @@ def test_wold_on_real_operands_matches_the_complex_path(monkeypatch, flag):
     assert [c[:2] for c in real] == [c[:2] for c in cplx]
 
 
-def test_polar_keeps_a_real_operand_real():
+def test_wold_polar_step_keeps_a_real_operand_real():
     x = np.ascontiguousarray(model_pair(Properness.PROPER, 9)[0].real)
-    u, p = polar(x)
-    assert u.dtype == p.dtype == np.float64
-    assert np.abs(u @ p - x).max() <= TOL
+    r = wold_decompose(x)  # the polar isometry of X V0 is the second fiber basis, |X V0| the weight block
+    assert r.fiber_bases[1].dtype == r.a_restricted.dtype == np.float64
+    assert np.abs(reconstruct(r) - x).max() <= TOL
 
 
 def test_a_tiny_imaginary_part_keeps_the_complex_path(monkeypatch):
@@ -220,17 +219,15 @@ def test_cli_reports_match_the_complex_path(capsys, tmp_path, flag):
     for rep in (synth["estimated_spectrum"], estimate):
         same_set(SpectralSet.from_json(rep), want)
 
-    verdict = classify_properness(xc, 1e-8, 0.1)
-    defect = scaling_defect(xc, model.fiber_dim)
+    verdict = classify_properness(xc, 1e-8, 0.1, fiber_dim=model.fiber_dim)
     assert verify["verdict"] == verdict.verdict.value == flag.value
     assert (verify["gap_at_0"], verify["gap_at_1"]) == (verdict.gap_at_0, verdict.gap_at_1)
-    assert verify["boundary_localized"] is defect.boundary_localized is True
+    assert verify["boundary_localized"] is verdict.boundary_localized is True
     close(verify["projection_distance"], verdict.projection_distance)
-    close(verify["scaling_residual"], defect.residual_norm)
+    close(verify["scaling_residual"], verdict.scaling_residual)
 
     uc, rep = infinite_projection_witness(xc, 0.5, 1e-9, 1e-8)
     assert witness["dominated"] is rep.dominated
-    close(witness["projection_defect"], rep.projection_defect)
     close(witness["norm_difference"], rep.norm_difference)
     u = matio.load_matrix(witness["witness_path"])
     assert np.array_equal(u, infinite_projection_witness(x, 0.5, 1e-9, 1e-8)[0])

@@ -141,6 +141,14 @@ class TestNonproperAdmissible:
         with pytest.raises(NotAdmissible, match="^properness must be a Properness, got "):
             GeneratorDescriptor(spectrum((0, 1)), flag)
 
+    @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
+    @pytest.mark.parametrize("spec", [normalize([(0.5, 1)]), normalize(POINTS_0H1), None],
+                             ids=["set-without-0", "set-with-0-and-1", "none"])
+    def test_descriptor_spectrum_must_be_a_scaling_spectrum(self, spec, flag):
+        # k_of_generator and hom_exists read spectrum.set: a bare SpectralSet would end in an AttributeError
+        with pytest.raises(NotAdmissible, match="^spectrum must be a ScalingSpectrum, got "):
+            GeneratorDescriptor(spec, flag)
+
     def test_descriptor_construction_guard(self):
         with pytest.raises(NotAdmissible):
             descriptor(POINTS_01, proper=False)
