@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .operators import TruncatedShiftModel, _require_finite
-from .spectra import _is_numbers
+from .spectra import _is_number, _is_numbers
 
 __all__ = ["save_matrix", "load_matrix", "save_model", "load_model"]
+_ZERO_FIELD = "0.0,0.0"  # repr of an entry that is +0.0 in both parts
 
 
 def save_matrix(path: str, m: np.ndarray) -> None:
@@ -30,17 +31,21 @@ def save_matrix(path: str, m: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write(f"{rows} {cols}\n")
         for row in m:
-            fh.write(" ".join([f"{z.real!r},{z.imag!r}" for z in row.tolist()]) + "\n")
+            js = np.flatnonzero(row.real.view(np.int64) | row.imag.view(np.int64))  # not +0.0 in both parts
+            fields = [_ZERO_FIELD] * cols
+            for j, z in zip(js.tolist(), row[js].tolist()):
+                fields[j] = f"{z.real!r},{z.imag!r}"
+            fh.write(" ".join(fields) + "\n")
 
 
 def load_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise DimensionMismatch(f"{path}: malformed matrix header {header!r}")
-        rows, cols = int(header[0]), int(header[1])
         try:
+            rows, cols = map(int, header)
             out = np.zeros((rows, cols), dtype=complex)
+        except ValueError:  # not two integers, or one that is negative or too large to index
+            raise DimensionMismatch(f"{path}: malformed matrix header {header!r}") from None
         except MemoryError:
             raise DimensionMismatch(f"{path}: header claims a {rows}x{cols} matrix") from None
         for r in range(rows):
@@ -48,12 +53,16 @@ def load_matrix(path: str) -> np.ndarray:
             fields = line.split()
             if len(fields) != cols:
                 raise DimensionMismatch(f"{path}: row {r} has {len(fields)} fields, expected {cols}")
-            # cols commas in cols fields, each holding one or more: one comma per field
+            js = slice(None)
+            if _ZERO_FIELD in fields:  # out[r] holds +0.0 already: keep the other fields and where they sit
+                js = [j for j, field in enumerate(fields) if field != _ZERO_FIELD]
+                fields = [fields[j] for j in js]
+            # cols commas in cols fields, each holding one or more (a _ZERO_FIELD one): one comma per field
             if line.count(",") != cols or not all(map(operator.contains, fields, repeat(","))):
                 raise ValueError(f"{path}: row {r} has a field that is not one re,im pair")
-            if cols:
+            if fields:
                 # interleaved re, im doubles are the memory layout of complex128
-                out[r] = np.array(",".join(fields).split(","), dtype=float).view(complex)
+                out[r, js] = np.array(",".join(fields).split(","), dtype=float).view(complex)
         if fh.read().strip():
             raise DimensionMismatch(f"{path}: more than the {rows} rows its header declares")
     return _require_finite(out, path)
@@ -72,7 +81,7 @@ def save_model(path: str, model: TruncatedShiftModel) -> None:
 
 
 def _entry_from_json(v) -> complex:
-    if _is_numbers([v]):
+    if _is_number(v):
         return complex(v)
     if _is_numbers(v) and len(v) == 2:
         return complex(*v)

@@ -35,11 +35,14 @@ class Properness(Enum):
     NON_PROPER = "nonproper"
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number that fits a float (booleans are not numbers)."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def _is_numbers(value) -> bool:
-    """Whether a JSON value is a list of numbers that fit a float (booleans are not numbers)."""
-    return isinstance(value, list) and all(
-        isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max) for v in value
-    )
+    """Whether a JSON value is a list of numbers that fit a float."""
+    return isinstance(value, list) and all(map(_is_number, value))
 
 
 def _check_endpoints(lo: float, hi: float) -> tuple[float, float]:

@@ -1,12 +1,14 @@
+import operator
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from scalex.errors import NotAdmissible
+from scalex.errors import DimensionMismatch, NotAdmissible
 from scalex.ktheory import PuncturedSet
-from scalex.operators import BOUNDARY_TOL, HERMITIAN_TOL, opnorm
+from scalex.operators import BOUNDARY_TOL, HERMITIAN_TOL, _require_finite, opnorm
 from scalex.spectra import (
     GeneratorDescriptor,
     Properness,
@@ -158,6 +160,44 @@ def functional_calculus(h: np.ndarray, f: Callable[[float], complex]) -> np.ndar
     w, q = np.linalg.eigh(h)
     fv = np.array([f(float(lam)) for lam in w], dtype=complex)
     return q @ (fv[:, None] * q.conj().T)
+
+
+def reference_save_matrix(path, m) -> None:
+    """The per-field matrix writer: ``repr`` of both parts of every entry, +0.0 or not."""
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    rows, cols = m.shape
+    with open(path, "w") as fh:
+        fh.write(f"{rows} {cols}\n")
+        for row in m:
+            fh.write(" ".join([f"{z.real!r},{z.imag!r}" for z in row.tolist()]) + "\n")
+
+
+def reference_load_matrix(path) -> np.ndarray:
+    """The per-row matrix reader that parses every field, +0.0 or not.
+
+    Its header refusals predate the rule that a header which is not two
+    integers >= 0 is a DimensionMismatch; every other refusal is the library's."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise DimensionMismatch(f"{path}: malformed matrix header {header!r}")
+        rows, cols = int(header[0]), int(header[1])
+        try:
+            out = np.zeros((rows, cols), dtype=complex)
+        except MemoryError:
+            raise DimensionMismatch(f"{path}: header claims a {rows}x{cols} matrix") from None
+        for r in range(rows):
+            line = fh.readline()
+            fields = line.split()
+            if len(fields) != cols:
+                raise DimensionMismatch(f"{path}: row {r} has {len(fields)} fields, expected {cols}")
+            if line.count(",") != cols or not all(map(operator.contains, fields, repeat(","))):
+                raise ValueError(f"{path}: row {r} has a field that is not one re,im pair")
+            if cols:
+                out[r] = np.array(",".join(fields).split(","), dtype=float).view(complex)
+        if fh.read().strip():
+            raise DimensionMismatch(f"{path}: more than the {rows} rows its header declares")
+    return _require_finite(out, path)
 
 
 @pytest.fixture

@@ -139,7 +139,8 @@ def test_mangled_matrix_file(capsys, tmp_path, good_matrix, command, mangle):
     path = tmp_path / "x.mat"
     write(path, MATRIX_MANGLES[mangle](good_matrix))
     code, doc = run_cli(capsys, [command, "--in", str(path), *COMMANDS[command]])
-    if mangle == "extra-row":
+    # a header that is not two integers >= 0, or that the rows belie, is a DimensionMismatch
+    if mangle == "extra-row" or mangle.startswith("header-"):
         assert code == 2 and doc["kind"] == "DimensionMismatch", doc
 
 
