@@ -7,7 +7,6 @@ from .spectra import (
     Properness,
     ScalingSpectrum,
     SpectralSet,
-    has_compact_open_at_one,
     has_infinite_projection,
     hom_exists,
     iso_exists,

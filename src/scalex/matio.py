@@ -39,32 +39,37 @@ def save_matrix(path: str, m: np.ndarray) -> None:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().split()
-        try:
-            rows, cols = map(int, header)
-            out = np.zeros((rows, cols), dtype=complex)
-        except ValueError:  # not two integers, or one that is negative or too large to index
-            raise DimensionMismatch(f"{path}: malformed matrix header {header!r}") from None
-        except MemoryError:
-            raise DimensionMismatch(f"{path}: header claims a {rows}x{cols} matrix") from None
-        for r in range(rows):
-            line = fh.readline()
-            fields = line.split()
-            if len(fields) != cols:
-                raise DimensionMismatch(f"{path}: row {r} has {len(fields)} fields, expected {cols}")
-            js = slice(None)
-            if _ZERO_FIELD in fields:  # out[r] holds +0.0 already: keep the other fields and where they sit
-                js = [j for j, field in enumerate(fields) if field != _ZERO_FIELD]
-                fields = [fields[j] for j in js]
-            # cols commas in cols fields, each holding one or more (a _ZERO_FIELD one): one comma per field
-            if line.count(",") != cols or not all(map(operator.contains, fields, repeat(","))):
-                raise ValueError(f"{path}: row {r} has a field that is not one re,im pair")
-            if fields:
-                # interleaved re, im doubles are the memory layout of complex128
-                out[r, js] = np.array(",".join(fields).split(","), dtype=float).view(complex)
-        if fh.read().strip():
-            raise DimensionMismatch(f"{path}: more than the {rows} rows its header declares")
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            try:
+                rows, cols = map(int, header)
+                out = np.zeros((rows, cols), dtype=complex)
+            except ValueError:  # not two integers, or one that is negative or too large to index
+                raise DimensionMismatch(f"{path}: malformed matrix header {header!r}") from None
+            except MemoryError:
+                raise DimensionMismatch(f"{path}: header claims a {rows}x{cols} matrix") from None
+            for r in range(rows):
+                line = fh.readline()
+                fields = line.split()
+                if len(fields) != cols:
+                    raise DimensionMismatch(f"{path}: row {r} has {len(fields)} fields, expected {cols}")
+                js = slice(None)
+                if _ZERO_FIELD in fields:  # out[r] holds +0.0 already: keep the other fields and where they sit
+                    js = [j for j, field in enumerate(fields) if field != _ZERO_FIELD]
+                    fields = [fields[j] for j in js]
+                # cols commas in cols fields, each holding one or more (a _ZERO_FIELD one): one comma per field
+                if line.count(",") != cols or not all(map(operator.contains, fields, repeat(","))):
+                    raise ValueError(f"{path}: row {r} has a field that is not one re,im pair")
+                if fields:  # interleaved re, im doubles are the memory layout of complex128
+                    try:
+                        out[r, js] = np.array(",".join(fields).split(","), dtype=float).view(complex)
+                    except ValueError:  # a field numpy cannot read as a float
+                        raise ValueError(f"{path}: row {r} has a field that is not a number") from None
+            if fh.read().strip():
+                raise DimensionMismatch(f"{path}: more than the {rows} rows its header declares")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     return _require_finite(out, path)
 
 
@@ -100,7 +105,7 @@ def load_model(path: str) -> TruncatedShiftModel:
         else:
             a = np.array([[_entry_from_json(v) for v in row] for row in a_field], dtype=complex)
             _require_finite(a, path)
-    except (TypeError, OverflowError, RecursionError) as exc:  # a wrongly typed, too large or too deep JSON value
+    except (TypeError, OverflowError, RecursionError, UnicodeDecodeError) as exc:  # a bad JSON value, or not UTF-8
         raise ValueError(f"{path}: not a model file: {exc}") from exc
     if a.shape != (d, d):
         raise DimensionMismatch(f"{path}: A must be {d}x{d}, got shape {a.shape}")

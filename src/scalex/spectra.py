@@ -26,7 +26,6 @@ __all__ = [
     "hom_exists",
     "iso_exists",
     "has_infinite_projection",
-    "has_compact_open_at_one",
 ]
 
 
@@ -240,30 +239,9 @@ def iso_exists(x: GeneratorDescriptor, y: GeneratorDescriptor) -> bool:
 
 
 def has_infinite_projection(s: ScalingSpectrum) -> bool:
-    """True iff the generated algebra contains an infinite projection.
+    """True iff the generated algebra contains an infinite projection: iff the spectrum misses part of [0, 1].
 
-    Decided by an interval cover walk: the algebra has an infinite projection
-    exactly when the spectrum fails to cover all of [0, 1].
+    The set holds 0 and 1, so its first interval starts at 0, and the set
+    covers [0, 1] exactly when that interval does.
     """
-    cursor = 0.0
-    for lo, hi in s.set.intervals:
-        if lo > cursor:
-            return True
-        cursor = max(cursor, hi)
-        if cursor >= 1.0:
-            return False
-    return True
-
-
-def has_compact_open_at_one(s: ScalingSpectrum) -> bool:
-    """True iff the punctured spectrum has a compact open piece around 1.
-
-    Equivalent criterion to :func:`has_infinite_projection`, decided by a
-    different route: scan for a gap below 1, i.e. some cut c in [0, 1) outside
-    the set, which makes the part of the spectrum above c clopen and compact.
-    """
-    # Gaps of a normalized set sit strictly between consecutive intervals.
-    for (_, hi), _next in zip(s.set.intervals, s.set.intervals[1:]):
-        if hi < 1.0:
-            return True
-    return False
+    return s.set.intervals[0][1] < 1.0

@@ -1,4 +1,5 @@
 import operator
+import random
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -82,6 +83,43 @@ def k_ranks_oracle(p: PuncturedSet) -> tuple[int, int]:
                 k1 += 1
             run = None
     return k0, k1
+
+
+def cover_walk_oracle(s: ScalingSpectrum) -> bool:
+    """Infinite projection by walking an interval cover of [0, 1]: true iff the set fails to cover it."""
+    cursor = 0.0
+    for lo, hi in s.set.intervals:
+        if lo > cursor:
+            return True
+        cursor = max(cursor, hi)
+        if cursor >= 1.0:
+            return False
+    return True
+
+
+def gap_scan_oracle(s: ScalingSpectrum) -> bool:
+    """A compact open piece of the spectrum around 1, found by scanning for a gap below 1.
+
+    A cut c in [0, 1) outside the set makes the part of the spectrum above c
+    clopen and compact; the gaps of a normalized set sit strictly between
+    consecutive intervals."""
+    for (_, hi), _next in zip(s.set.intervals, s.set.intervals[1:]):
+        if hi < 1.0:
+            return True
+    return False
+
+
+def seeded_scaling_spectra(seed: int, count: int):
+    """``count`` random scaling spectra: up to 7 raw intervals on a grid of 1/4, 1/10 or 1/1000 in [0, 2],
+    a third of them points, so that endpoints meet, touch and sit on 0 and 1 often."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        grid = rng.choice((4, 10, 1000))
+        raw = [(0.0, 0.0), (1.0, 1.0)]
+        for _ in range(rng.randint(0, 7)):
+            a, b = sorted(rng.randint(0, 2 * grid) / grid for _ in range(2))
+            raw.append((a, a) if rng.random() < 1 / 3 else (a, b))
+        yield ScalingSpectrum(normalize(raw))
 
 
 def random_positive_definite(rng: np.random.Generator, dim: int, lo=0.3, hi=1.8) -> np.ndarray:
@@ -176,7 +214,9 @@ def reference_load_matrix(path) -> np.ndarray:
     """The per-row matrix reader that parses every field, +0.0 or not.
 
     Its header refusals predate the rule that a header which is not two
-    integers >= 0 is a DimensionMismatch; every other refusal is the library's."""
+    integers >= 0 is a DimensionMismatch, and text that is not UTF-8 reaches
+    its caller as a UnicodeDecodeError; every other refusal is the library's,
+    a field that is not a number among them."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -194,7 +234,10 @@ def reference_load_matrix(path) -> np.ndarray:
             if line.count(",") != cols or not all(map(operator.contains, fields, repeat(","))):
                 raise ValueError(f"{path}: row {r} has a field that is not one re,im pair")
             if cols:
-                out[r] = np.array(",".join(fields).split(","), dtype=float).view(complex)
+                try:
+                    out[r] = np.array(",".join(fields).split(","), dtype=float).view(complex)
+                except ValueError:
+                    raise ValueError(f"{path}: row {r} has a field that is not a number") from None
         if fh.read().strip():
             raise DimensionMismatch(f"{path}: more than the {rows} rows its header declares")
     return _require_finite(out, path)

@@ -27,7 +27,6 @@ from scalex.spectra import (
     GeneratorDescriptor,
     Properness,
     ScalingSpectrum,
-    has_compact_open_at_one,
     has_infinite_projection,
     hom_exists,
     iso_exists,
@@ -36,7 +35,7 @@ from scalex.spectra import (
 )
 from scalex.wold import wold_decompose
 
-from conftest import conjugate_random, k_ranks_oracle, random_positive_definite, random_unitary
+from conftest import conjugate_random, gap_scan_oracle, k_ranks_oracle, random_positive_definite, random_unitary
 
 
 def criterion(num, name):
@@ -115,7 +114,7 @@ def test_c1_decision_table():
     for _ in range(1000):
         s = random_scaling_spectrum(rng)
         assert has_infinite_projection(s) == (not cover_oracle(s))
-        assert has_infinite_projection(s) == has_compact_open_at_one(s)
+        assert has_infinite_projection(s) == gap_scan_oracle(s)
 
     assert time.perf_counter() - start < 1.0
 

@@ -72,6 +72,7 @@ class TestClassify:
         code, rep = run(capsys, "classify", "--spec", FULL_01)
         assert code == 0
         assert rep["infinite_projection"] is False
+        assert rep["compact_open_at_one"] is False and rep["criteria_agree"] is True
         assert rep["k_proper"] == [0, 0]
 
     def test_zero_tail(self, capsys):

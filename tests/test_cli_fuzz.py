@@ -142,6 +142,12 @@ def test_mangled_matrix_file(capsys, tmp_path, good_matrix, command, mangle):
     # a header that is not two integers >= 0, or that the rows belie, is a DimensionMismatch
     if mangle == "extra-row" or mangle.startswith("header-"):
         assert code == 2 and doc["kind"] == "DimensionMismatch", doc
+    if mangle == "word":  # "one,0.0" in the first row that holds a 1.0
+        row = next(r for r, line in enumerate(_lines(good_matrix)[1:]) if "1.0,0.0" in line)
+        error = f"{path}: row {row} has a field that is not a number"
+        assert (code, doc) == (2, {"error": error, "kind": "ValueError"})
+    if mangle == "binary-junk":
+        assert (code, doc) == (2, {"error": f"{path}: not UTF-8 text", "kind": "ValueError"})
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -155,6 +161,9 @@ def test_mangled_model_file(capsys, tmp_path, command, mangle):
         assert code == 2 and doc["kind"] == "ValueError", doc
     if mangle in MISSHAPEN_A_MODELS:
         assert code == 2 and doc["kind"] == "DimensionMismatch", doc
+    if mangle == "binary-junk":
+        assert code == 2 and doc["kind"] == "ValueError", doc
+        assert doc["error"].startswith(f"{path}: not a model file: 'utf-8' codec can't decode"), doc
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -256,6 +265,22 @@ def test_spec_file_that_is_not_an_object_exits_2(capsys, tmp_path, command, text
     path.write_text(text)
     code, doc = run_cli(capsys, [command, "--spec", str(path)])
     assert code == 2 and doc["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("command", ["classify", "kgroups"])
+def test_spec_file_that_is_not_utf8_names_its_path(capsys, tmp_path, command):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\x00\xff\xfe\x80junk")
+    code, doc = run_cli(capsys, [command, "--spec", str(path)])
+    assert (code, doc) == (2, {"error": f"{path}: not UTF-8 text", "kind": "ValueError"})
+
+
+@pytest.mark.parametrize("command", ["classify", "kgroups"])
+def test_truncated_spec_file_is_a_json_decode_error(capsys, tmp_path, command):
+    path = tmp_path / "spec.json"
+    path.write_text(GOOD_SPEC[:-7])
+    code, doc = run_cli(capsys, [command, "--spec", str(path)])
+    assert code == 2 and doc["kind"] == "JSONDecodeError", doc
 
 
 # Each operand below asks numpy for more than the 2**47-byte user address

@@ -147,6 +147,50 @@ def test_matrix_non_finite_rejected(tmp_path, entry):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("field", ["one,0.0", "0.0,0x1", "1.0,", ",1.0", "0.0,1..0"])
+def test_matrix_field_not_a_number_names_its_file_and_row(tmp_path, field):
+    path = tmp_path / "bad.mat"
+    path.write_text(f"3 2\n1.0,0.0 0.0,0.0\n0.0,0.0 0.5,0.0\n0.0,0.0 {field}\n")
+    with pytest.raises(ValueError) as info:
+        load_matrix(path)
+    assert (type(info.value), str(info.value)) == (ValueError, f"{path}: row 2 has a field that is not a number")
+
+
+# a byte that is not UTF-8 in the header, in the last row of a file larger than
+# one read of the text layer, and after the declared rows
+@pytest.mark.parametrize("where", ["header", "last-row", "after-rows"])
+def test_matrix_file_not_utf8_names_its_path(tmp_path, where):
+    path = tmp_path / "bad.mat"
+    save_matrix(path, np.eye(120))
+    data = path.read_bytes()
+    assert len(data) > 64 * 1024
+    if where == "header":
+        data = b"\xff" + data
+    elif where == "last-row":
+        data = data[:-10] + b"\xb5" + data[-10:]
+    else:
+        data += b"\xc3\x28\n"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        load_matrix(path)
+    assert (type(info.value), str(info.value)) == (ValueError, f"{path}: not UTF-8 text")
+
+
+def test_model_file_not_utf8_names_its_path(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"d": 1, "N": 3, "A": [[0.5]], "note": "\xff"}')
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{path}: not a model file: 'utf-8' codec can't decode"), info.value
+    # a matrix file it names is refused as the matrix reader refuses it, naming that file
+    (tmp_path / "a.mat").write_bytes(b"1 1\n0.5,0.0\xff\n")
+    path.write_text('{"d": 1, "N": 3, "A": "a.mat"}')
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value) == f"{tmp_path / 'a.mat'}: not UTF-8 text"
+
+
 def test_model_non_finite_inline_rejected(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"d": 1, "N": 3, "A": [[NaN]]}')

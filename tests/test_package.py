@@ -104,6 +104,7 @@ RETIRED = [
     "k_of_toeplitz_algebra", "k_of_quotient_algebra", "without",
     "Component", "components", "isolated_at", "interval_index_of",
     "scaling_defect", "ScalingDefect", "polar", "conjugate_random", "random_unitary", "projection_defect",
+    "has_compact_open_at_one",
 ]
 
 

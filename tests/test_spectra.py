@@ -8,7 +8,6 @@ from scalex.spectra import (
     Properness,
     ScalingSpectrum,
     SpectralSet,
-    has_compact_open_at_one,
     has_infinite_projection,
     hom_exists,
     iso_exists,
@@ -16,7 +15,15 @@ from scalex.spectra import (
     normalize,
 )
 
-from conftest import descriptors, raw_interval_lists, scaling_spectra, spectral_sets
+from conftest import (
+    cover_walk_oracle,
+    descriptors,
+    gap_scan_oracle,
+    raw_interval_lists,
+    scaling_spectra,
+    seeded_scaling_spectra,
+    spectral_sets,
+)
 
 
 def spectrum(*pairs):
@@ -209,13 +216,38 @@ class TestInfiniteProjection:
         assert not has_infinite_projection(spectrum((0, 1), (2, 2)))
 
     def test_compact_open_examples(self):
-        assert has_compact_open_at_one(spectrum(*POINTS_01))
-        assert not has_compact_open_at_one(spectrum(*FULL_01))
-        assert has_compact_open_at_one(spectrum((0, 0), (0.75, 1)))
+        # a compact open piece around 1 exactly where the criterion finds an infinite projection
+        for pairs, want in ((POINTS_01, True), (FULL_01, False), ([(0, 0), (0.75, 1)], True)):
+            s = spectrum(*pairs)
+            assert gap_scan_oracle(s) == has_infinite_projection(s) == want
 
     @given(scaling_spectra())
     def test_two_criteria_agree(self, s):
-        assert has_infinite_projection(s) == has_compact_open_at_one(s)
+        assert has_infinite_projection(s) == cover_walk_oracle(s) == gap_scan_oracle(s)
+
+    @pytest.mark.parametrize(
+        "pairs, want",
+        [
+            ([(0, 0), (1, 1)], True),
+            ([(0, 1)], False),
+            ([(0, 1), (2, 2)], False),
+            ([(0, 0), (1, 2)], True),
+            ([(0, 0.999), (1, 1)], True),
+            ([(0, 2)], False),
+        ],
+    )
+    def test_first_interval_edge_cases(self, pairs, want):
+        s = spectrum(*pairs)
+        assert has_infinite_projection(s) == cover_walk_oracle(s) == gap_scan_oracle(s) == want
+
+    def test_both_oracles_on_seeded_spectra(self):
+        outcomes = {True: 0, False: 0}
+        for s in seeded_scaling_spectra(seed=33, count=10_000):
+            infinite = has_infinite_projection(s)
+            assert infinite == cover_walk_oracle(s) == gap_scan_oracle(s), s
+            outcomes[infinite] += 1
+        # neither answer is rare, so the agreement is tested on both sides
+        assert min(outcomes.values()) >= 1000, outcomes
 
 
 class TestProperDescriptor:
