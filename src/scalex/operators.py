@@ -108,7 +108,10 @@ class TruncatedShiftModel:
 def realize(m: TruncatedShiftModel) -> np.ndarray:
     """The (N d) x (N d) matrix with A on step 0 -> 1 and identities after."""
     d = m.fiber_dim
-    x = np.eye(m.dimension, k=-d, dtype=complex)  # slot k -> k + 1; the last slot -> 0
+    try:
+        x = np.eye(m.dimension, k=-d, dtype=complex)  # slot k -> k + 1; the last slot -> 0
+    except (ValueError, MemoryError):  # too large to index or to allocate: numpy refuses before it allocates
+        raise DimensionMismatch(f"a realized model of {m.dimension}x{m.dimension} is too large") from None
     x[d : 2 * d, :d] = m.A
     return x
 
@@ -122,22 +125,13 @@ def _residual_rows(s: np.ndarray, cross: np.ndarray, rows: slice | np.ndarray) -
     return block
 
 
-def _defect_of_svd(s: np.ndarray, vh: np.ndarray, cross: np.ndarray, fiber_dim: int | None) -> tuple:
-    """||R|| for R = (X*X)X - X, and whether R lies in the last fiber slot within 1e-10 (None without
-    a fiber dimension), read from the caller's SVD X = L S V* and its cross product V* L.
+def _defect_of_svd(s: np.ndarray, cross: np.ndarray) -> float:
+    """||R|| for R = (X*X)X - X, read from the caller's SVD X = L S V* and its cross product V* L.
     V* R = (S^2 - I)(V* L) S V*, so R lives on the rows where s^2 != 1.  Those
     with |s^2 - 1| <= BOUNDARY_TOL are dropped; they add at most BOUNDARY_TOL * s[0].
     """
     off = np.abs(np.minimum(s, 2.0) ** 2 - 1) > BOUNDARY_TOL  # s clipped at 2: the same rows, and no overflow
-    block = _residual_rows(s, cross, off)
-    if fiber_dim is None:
-        return opnorm(block), None
-    if type(fiber_dim) is not int or fiber_dim < 1 or len(s) % fiber_dim:  # bool is a subclass of int
-        raise NotAdmissible(f"fiber_dim {fiber_dim!r} is < 1 or not an int,"
-                            f" or dimension {len(s)} is not a multiple of it")
-    # R's rows outside the last slot are vh[off, :n - d]* block up to unitaries; a QR keeps them thin
-    rows = np.linalg.qr(vh[off, : len(s) - fiber_dim].conj().T, mode="r") @ block
-    return opnorm(block), _opnorm_at_most(rows, BOUNDARY_TOL)
+    return opnorm(_residual_rows(s, cross, off))
 
 
 def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
@@ -215,7 +209,6 @@ class PropernessVerdict:
     gap_at_1: bool
     projection_distance: float
     scaling_residual: float
-    boundary_localized: bool | None
 
 
 def _factor(x, tol: float,
@@ -279,15 +272,14 @@ def _shift_basis(coker: np.ndarray, ker: np.ndarray) -> np.ndarray:
     return ((c + k) / (2 * np.cos(half)) + (c - k) / (2 * np.sin(half))) / np.sqrt(2)
 
 
-def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1,
-                        fiber_dim: int | None = None) -> PropernessVerdict:
+def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1) -> PropernessVerdict:
     """Decide proper vs non-proper for a (truncated) scaling-like matrix.
 
     Non-proper needs spectral gaps just above 0 and around 1 (the compactness
     side) and agreement, on the right support of X, between the spectral
     projection of |X| at 1 and the left support of X.  An X without a shift
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
-    One SVD of X serves every test and the residual fields; fiber_dim feeds only boundary_localized.
+    One SVD of X serves every test and the residual.
     """
     u, s, vh, cross, rank = _factor(x, tol, gap_tol=gap_tol)[1:]  # the operand is not needed past its SVD
     if not _shift_basis(u[:, rank:], vh[rank:].conj().T).shape[1]:
@@ -306,7 +298,7 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1,
     distance = float(np.max(np.abs(w), initial=0.0))
 
     verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol else Properness.PROPER
-    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance, *_defect_of_svd(s, vh, cross, fiber_dim))
+    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance, _defect_of_svd(s, cross))
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9) -> WoldReport:
     """
     # one SVD serves the scaling gate, the residual, the shift basis and the kernel basis
     x, left, s, right, cross, rank = _factor(x, tol)
-    defect_norm = _defect_of_svd(s, right, cross, None)[0]
+    defect_norm = _defect_of_svd(s, cross)
     del cross
     n = x.shape[0]
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from scalex.errors import DimensionMismatch, NotAdmissible
 from scalex.ktheory import PuncturedSet
-from scalex.operators import BOUNDARY_TOL, HERMITIAN_TOL, _require_finite, opnorm
+from scalex.operators import HERMITIAN_TOL, _require_finite, opnorm
 from scalex.spectra import (
     GeneratorDescriptor,
     Properness,
@@ -159,13 +159,11 @@ def cyclic_shift(a: float) -> np.ndarray:
     return x
 
 
-def reference_defect(x: np.ndarray, fiber_dim: int | None = None) -> tuple[float, bool | None]:
-    """(||R||, slot flag) with R = (X*X)X - X formed by two n x n products: the reference
-    for the residual the lab reads from its SVD.  The flag says whether R's rows outside
-    the last fiber slot vanish within BOUNDARY_TOL."""
+def reference_defect(x: np.ndarray) -> float:
+    """||R|| with R = (X*X)X - X formed by two n x n products: the reference
+    for the residual the lab reads from its SVD."""
     x = np.asarray(x, dtype=complex)
-    r = (x.conj().T @ x) @ x - x
-    return opnorm(r), None if fiber_dim is None else opnorm(r[: len(r) - fiber_dim]) <= BOUNDARY_TOL
+    return opnorm((x.conj().T @ x) @ x - x)
 
 
 class UndefinedAt(ValueError):

@@ -295,6 +295,15 @@ class TestMatrixFile:
         assert code == 0 and set(verify) == self.VERIFY_KEYS
 
 
+    @pytest.mark.parametrize("a", [[[0.5, 0], [0, 1000]], [[0.5, 0, 0], [0, 1, 0], [0, 0, 1000]]], ids=["d2", "d3"])
+    def test_large_weight_model_file_is_boundary_localized(self, capsys, tmp_path, a):
+        # R = (X*X)X - X lies on a model's last slot by construction, however large its weights
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"d": len(a), "N": 20, "A": a}))
+        code, verify = run(capsys, "verify", "--in", str(path))
+        assert code == 0 and verify["boundary_localized"] is True, verify
+
+
 class TestBadOperands:
     """Malformed matrix files end in exit 2 with a named error, never a traceback."""
 

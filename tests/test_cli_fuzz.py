@@ -283,27 +283,33 @@ def test_truncated_spec_file_is_a_json_decode_error(capsys, tmp_path, command):
     assert code == 2 and doc["kind"] == "JSONDecodeError", doc
 
 
-# Each operand below asks numpy for more than the 2**47-byte user address
-# space, so the allocation is refused on any machine, whatever its overcommit
-# setting: the (2e7)^2 and (1e7)^2 complex matrices, 8e15 bytes of samples.
-HUGE_MODEL = json.dumps({"d": 1, "N": 10**7, "A": [[0.5]]})
+# Each operand below is refused before numpy allocates anything.  At depth 1e7
+# the (2e7)^2 and (1e7)^2 complex matrices, like the 8e15 bytes of samples, ask
+# for more than the 2**47-byte user address space, whatever the machine's
+# overcommit setting; at depths 3e9 and 1e19 numpy cannot even index them.
+HUGE_DEPTHS = {"": 10**7, "-3e9": 3 * 10**9, "-1e19": 10**19}
 OVERSIZED = {
-    "synth-depth": ["synth", "--spec", GOOD_SPEC, "--depth", str(10**7), "--out", "out"],
-    "synth-samples": ["synth", "--spec", '{"intervals": [[0, 0], [0.3, 0.6], [1, 1]]}', "--samples", str(10**15),
-                      "--out", "out"],
-    **{f"{command}-model": [command, "--in", "model.json", *COMMANDS[command]] for command in COMMANDS},
+    **{f"synth-depth{tag}": (["synth", "--spec", GOOD_SPEC, "--depth", str(depth), "--out", "out"], depth)
+       for tag, depth in HUGE_DEPTHS.items()},
+    "synth-samples": (["synth", "--spec", '{"intervals": [[0, 0], [0.3, 0.6], [1, 1]]}', "--samples", str(10**15),
+                       "--out", "out"], 10**7),
+    **{f"{command}-model{tag}": ([command, "--in", "model.json", *COMMANDS[command]], depth)
+       for command in COMMANDS for tag, depth in HUGE_DEPTHS.items()},
 }
 
 
-@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
-def test_oversized_operand_is_a_dimension_mismatch(capsys, tmp_path, monkeypatch, argv):
+@pytest.mark.parametrize("argv, depth", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_operand_is_a_dimension_mismatch(capsys, tmp_path, monkeypatch, argv, depth):
     monkeypatch.chdir(tmp_path)
-    write(tmp_path / "model.json", HUGE_MODEL)
+    huge_model = json.dumps({"d": 1, "N": depth, "A": [[0.5]]})
+    write(tmp_path / "model.json", huge_model)
     code, doc = run_cli(capsys, argv)
     assert code == 2 and doc["kind"] == "DimensionMismatch", doc
+    if argv[0] != "synth":  # the refusal names the n x n size of the one-dimensional-slot model
+        assert f" {depth}x{depth} " in doc["error"], doc
     # a refused command leaves nothing behind: no output directory, no model file
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
-    assert (tmp_path / "model.json").read_text() == HUGE_MODEL
+    assert (tmp_path / "model.json").read_text() == huge_model
 
 
 @pytest.mark.parametrize("command", ["verify", "witness", "wold"])

@@ -33,11 +33,11 @@ from conftest import (
 from test_factor_once import operand
 
 
-def svd_defect(x, fiber_dim=None):
-    """The lab's scaling residual and slot flag, read from x's own SVD with no scaling gate: for
+def svd_defect(x):
+    """The lab's scaling residual, read from x's own SVD with no scaling gate: for
     operands the gate refuses, or that classify_properness gives no verdict."""
     left, s, vh = np.linalg.svd(np.asarray(x, dtype=complex))
-    return _defect_of_svd(s, vh, vh @ left, fiber_dim)
+    return _defect_of_svd(s, vh @ left)
 
 
 def model(d, n, a):
@@ -139,57 +139,64 @@ class TestScalingDefect:
         assert wold_decompose(u).residuals["scaling_defect"] <= 1e-12
 
     def test_truncated_model_boundary(self):
-        v = classify_properness(realize(diag_model(3, 0.5)), fiber_dim=1)
+        v = classify_properness(realize(diag_model(3, 0.5)))
         assert abs(v.scaling_residual - 1.0) <= 1e-12
-        assert v.boundary_localized is True
 
     def test_residual_row_support(self):
         x = realize(diag_model(3, 0.5))
         r = (x.conj().T @ x) @ x - x
         assert opnorm(r[:2, :]) <= 1e-14  # all rows except the last slot vanish
 
+    def test_residual_is_exactly_the_last_slot_of_every_model(self):
+        # R = (X*X)X - X is -X on the last slot and exactly 0 on every other, so R[:n - d] is 0.0 with no
+        # rounding: X*X is diagonal by slots with identity blocks between the first and the last
+        rng = np.random.default_rng(34)
+        for i in range(1200):
+            d, depth, top = int(rng.integers(1, 7)), int(rng.integers(2, 21)), 10.0 ** (-3 + i % 9)
+            w = top * np.sort(10.0 ** rng.uniform(-2, 0, d))
+            w[-1] = top
+            a = np.diag(w) if i % 2 else conjugate_random(np.diag(w).astype(complex), i)
+            x = realize(TruncatedShiftModel(d, depth, (a + a.conj().T) / 2))
+            r = (x.conj().T @ x) @ x - x
+            n = len(x)
+            assert not r[: n - d].any(), (d, depth, top)
+            assert np.array_equal(r[n - d :], -x[n - d :]), (d, depth, top)
+
     def test_zero_matrix(self):
         # no shift summand, so no verdict: the residual comes from the SVD itself
         assert wold_decompose(np.zeros((3, 3))).residuals["scaling_defect"] == 0.0
-        assert svd_defect(np.zeros((3, 3)), fiber_dim=1) == (0.0, True)
-
-    def test_no_fiber_structure(self):
-        assert svd_defect(np.zeros((3, 3)))[1] is None
+        assert svd_defect(np.zeros((3, 3))) == 0.0
 
     def test_generic_matrix_not_localized(self, rng):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        # the scaling gate refuses a generic matrix
-        (got_norm, got_localized), (norm, localized) = svd_defect(x, fiber_dim=1), reference_defect(x, fiber_dim=1)
-        assert got_localized is localized is False
-        assert abs(got_norm - norm) <= 1e-12 * norm
+        # the scaling gate refuses a generic matrix, whose R spreads past the last slot
+        r = (x.conj().T @ x) @ x - x
+        assert opnorm(r[:-1]) > 1e-10
+        assert abs(svd_defect(x) - reference_defect(x)) <= 1e-12 * reference_defect(x)
 
-    # operands on which the residual read from the SVD could drift from R formed directly,
-    # with their fiber dimensions: a residual on the whole support, weights within 1e-11
-    # of 1 (rows the thin block drops), slots mixed by a unitary
+    # operands on which the residual read from the SVD could drift from R formed directly:
+    # a residual on the whole support, weights within 1e-11 of 1 (rows the thin block drops),
+    # slots mixed by a unitary
     DRIFT = {
-        "cyclic-0.5": (lambda: cyclic_shift(0.5), 1),
-        "cyclic-2": (lambda: cyclic_shift(2.0), 1),
-        "near-one-above": (lambda: realize(diag_model(5, 0.5, 1 + 1e-11)), 2),
-        "near-one-below": (lambda: realize(diag_model(5, 1 - 1e-11, 0.7)), 2),
-        "near-one-conjugated": (lambda: conjugate_random(realize(diag_model(5, 0.5, 1 + 1e-11)), 2), 2),
-        "flat-conjugated": (lambda: operand(Properness.NON_PROPER, 1, False), 4),
-        "fiber-conjugated": (lambda: operand(Properness.PROPER, 1, True), 5),
+        "cyclic-0.5": lambda: cyclic_shift(0.5),
+        "cyclic-2": lambda: cyclic_shift(2.0),
+        "near-one-above": lambda: realize(diag_model(5, 0.5, 1 + 1e-11)),
+        "near-one-below": lambda: realize(diag_model(5, 1 - 1e-11, 0.7)),
+        "near-one-conjugated": lambda: conjugate_random(realize(diag_model(5, 0.5, 1 + 1e-11)), 2),
+        "flat-conjugated": lambda: operand(Properness.NON_PROPER, 1, False),
+        "fiber-conjugated": lambda: operand(Properness.PROPER, 1, True),
     }
 
-    @pytest.mark.parametrize("with_fd", [True, False], ids=["fiber", "flat"])
     @pytest.mark.parametrize("name", list(DRIFT))
-    def test_matches_the_direct_residual(self, name, with_fd):
-        make, fiber_dim = self.DRIFT[name]
-        x, fiber_dim = make(), fiber_dim if with_fd else None
+    def test_matches_the_direct_residual(self, name):
+        x = self.DRIFT[name]()
         if name.startswith("cyclic"):  # the scaling gate refuses these: read the residual off the SVD
-            got = svd_defect(x, fiber_dim)
+            got = svd_defect(x)
         else:
-            v = classify_properness(x, fiber_dim=fiber_dim)
-            got = (v.scaling_residual, v.boundary_localized)
-            assert wold_decompose(x).residuals["scaling_defect"] == v.scaling_residual
-        norm, localized = reference_defect(x, fiber_dim)
-        assert abs(got[0] - norm) <= 1e-12 * max(1.0, norm)
-        assert got[1] is localized
+            got = classify_properness(x).scaling_residual
+            assert wold_decompose(x).residuals["scaling_defect"] == got
+        norm = reference_defect(x)
+        assert abs(got - norm) <= 1e-12 * max(1.0, norm)
 
 
 class TestEstimateSpectrum:
@@ -232,7 +239,7 @@ class TestSynthesize:
         m = synthesize(spectrum((0, 0), (0.5, 2)), Properness.PROPER, 4, 3, seed=0)
         eigs = np.diag(m.A).real.tolist()
         assert eigs == sorted(eigs) and eigs.count(1.0) == 1 and (eigs[0], eigs[-1]) == (0.5, 2.0)
-        assert classify_properness(realize(m), fiber_dim=m.fiber_dim).verdict is Properness.PROPER
+        assert classify_properness(realize(m)).verdict is Properness.PROPER
 
     def test_nonproper_rejected_when_inadmissible(self):
         with pytest.raises(NotAdmissible):
@@ -343,28 +350,13 @@ class TestClassifyProperness:
         x[:6, :6] = realize(diag_model(6, 0.5))
         assert isinstance(classify_properness(conjugate_random(x, 9)).verdict, Properness)
 
-    @pytest.mark.parametrize("with_fd", [True, False], ids=["fiber", "flat"])
     # the cyclic shifts are refused, so the verdict sees the scaling-like operands
     @pytest.mark.parametrize("name", [name for name in TestScalingDefect.DRIFT if not name.startswith("cyclic")])
-    def test_verdict_carries_the_direct_residual(self, name, with_fd):
-        make, fiber_dim = TestScalingDefect.DRIFT[name]
-        x, fiber_dim = make(), fiber_dim if with_fd else None
-        v, (norm, localized) = classify_properness(x, fiber_dim=fiber_dim), reference_defect(x, fiber_dim)
+    def test_verdict_carries_the_direct_residual(self, name):
+        x = TestScalingDefect.DRIFT[name]()
+        v, norm = classify_properness(x), reference_defect(x)
         assert abs(v.scaling_residual - norm) <= 1e-12 * max(1.0, norm)
-        assert v.boundary_localized is localized
-        assert (v.scaling_residual, v.boundary_localized) == svd_defect(x, fiber_dim)
-
-    def test_fiber_dim_must_divide_the_dimension(self):
-        with pytest.raises(NotAdmissible, match="not a multiple"):
-            classify_properness(realize(diag_model(5, 0.5)), fiber_dim=2)
-
-    @pytest.mark.parametrize("call", [svd_defect, classify_properness], ids=["scaling_defect", "classify_properness"])
-    @pytest.mark.parametrize("fiber_dim", [0, -1, 2.0, True])
-    def test_fiber_dim_must_be_an_int_of_at_least_one(self, call, fiber_dim):
-        # 0 would divide by zero, -1 divides every dimension yet names no slot,
-        # 2.0 divides the dimension yet slices nothing, and True would be read as 1
-        with pytest.raises(NotAdmissible, match=f"^fiber_dim {fiber_dim} is < 1 or not an int,"):
-            call(realize(diag_model(4, 0.5)), fiber_dim=fiber_dim)
+        assert v.scaling_residual == svd_defect(x)
 
     def test_one_svd_per_call(self, monkeypatch):
         # the shift-summand test reuses the verdict's SVD
@@ -523,7 +515,7 @@ OVERFLOWING = {
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", OVERFLOWING)
 @pytest.mark.parametrize(
-    "call", [lambda x: svd_defect(x, 1), classify_properness, wold_decompose],
+    "call", [svd_defect, classify_properness, wold_decompose],
     ids=["scaling_defect", "classify_properness", "wold_decompose"],
 )
 def test_overflowing_scaling_residual_is_refused(call, name):
@@ -537,8 +529,6 @@ def test_large_representable_scaling_residual_is_answered():
     x = np.array([[0.0, 0.0], [1e120, 0.0]])
     v = classify_properness(x)
     assert (v.verdict, v.scaling_residual) == (Properness.NON_PROPER, 1e120)
-    v = classify_properness(x, fiber_dim=1)
-    assert (v.scaling_residual, v.boundary_localized) == (1e120, True)
     r = wold_decompose(x)
     assert r.q_ranks == [1, 1] and r.a_eigenvalues == pytest.approx([1e120])
 

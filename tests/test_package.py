@@ -104,7 +104,7 @@ RETIRED = [
     "k_of_toeplitz_algebra", "k_of_quotient_algebra", "without",
     "Component", "components", "isolated_at", "interval_index_of",
     "scaling_defect", "ScalingDefect", "polar", "conjugate_random", "random_unitary", "projection_defect",
-    "has_compact_open_at_one",
+    "has_compact_open_at_one", "boundary_localized",
 ]
 
 
@@ -118,16 +118,21 @@ def witness_report():
     return scalex.infinite_projection_witness(scalex.realize(scalex.TruncatedShiftModel(1, 3, [[0.5]])), 0.25)[1]
 
 
+@pytest.fixture(scope="module")
+def verdict():
+    return scalex.classify_properness(scalex.realize(scalex.TruncatedShiftModel(1, 3, [[0.5]])))
+
+
 @pytest.mark.parametrize("name", RETIRED)
-def test_retired_names_are_gone(name, wold_report, witness_report):
+def test_retired_names_are_gone(name, wold_report, witness_report, verdict):
     assert name not in scalex.__all__
     assert name not in dir(scalex)
     assert name not in scalex.operators.__all__
     with pytest.raises(AttributeError):
         getattr(scalex, name)
     owners = (scalex.operators, scalex.errors, scalex.spectra, scalex.ktheory, scalex.wold, scalex.wold.WoldReport,
-              wold_report, scalex.operators.WitnessReport, witness_report, scalex.spectra.SpectralSet,
-              scalex.ktheory.PuncturedSet)
+              wold_report, scalex.operators.WitnessReport, witness_report, scalex.operators.PropernessVerdict,
+              verdict, scalex.spectra.SpectralSet, scalex.ktheory.PuncturedSet)
     for owner in owners:
         assert not hasattr(owner, name), owner
 

@@ -40,12 +40,7 @@ def model_pair(flag, seed):
     return x, d[:, None] * x * d.conj()[None, :], d, m.fiber_dim
 
 
-CASES = [
-    pytest.param(flag, seed, fd, id=f"{flag.value}-{seed}-{'fiber' if fd else 'flat'}")
-    for flag in Properness
-    for seed in (1, 2)
-    for fd in (True, False)
-]
+CASES = [pytest.param(flag, seed, id=f"{flag.value}-{seed}") for flag in Properness for seed in (1, 2)]
 
 
 def close(a, b):
@@ -59,21 +54,16 @@ def same_set(got, want):
         close(b, d)
 
 
-@pytest.mark.parametrize("flag, seed, with_fd", CASES)
-def test_reports_match_the_complex_path(flag, seed, with_fd):
-    x, xc, d, fiber_dim = model_pair(flag, seed)
-    fiber_dim = fiber_dim if with_fd else None
+@pytest.mark.parametrize("flag, seed", CASES)
+def test_reports_match_the_complex_path(flag, seed):
+    x, xc, d, _ = model_pair(flag, seed)
     assert np.iscomplexobj(xc) and np.abs(xc.imag).max() > 0.1
 
     got, want = classify_properness(x), classify_properness(xc)
     assert (got.verdict, got.gap_at_0, got.gap_at_1) == (want.verdict, want.gap_at_0, want.gap_at_1)
     close(got.projection_distance, want.projection_distance)
-    if with_fd:
-        assert got.verdict is flag
-
-    got, want = (classify_properness(z, fiber_dim=fiber_dim) for z in (x, xc))
     close(got.scaling_residual, want.scaling_residual)
-    assert got.boundary_localized is want.boundary_localized
+    assert got.verdict is flag
 
     same_set(estimate_spectrum(x, 0.1), estimate_spectrum(xc, 0.1))
 
@@ -87,19 +77,19 @@ def test_reports_match_the_complex_path(flag, seed, with_fd):
 
 @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
 def test_verify_shares_the_residual_with_scaling_defect(capsys, tmp_path, flag):
-    # a model file reports the slot flag; a matrix file, which has no slots, reports None
-    x, xc, _, fiber_dim = model_pair(flag, 3)
+    # a model file reports the slot flag true; a matrix file, which has no slots, reports None
+    x, xc, _, _ = model_pair(flag, 3)
     matio.save_model(str(tmp_path / "model.json"), synthesized(flag, 3))
     matio.save_matrix(str(tmp_path / "x.mat"), x)
     matio.save_matrix(str(tmp_path / "xc.mat"), xc)
-    for name, op, fd in (("model.json", x, fiber_dim), ("x.mat", x, None), ("xc.mat", xc, None)):
+    for name, op, localized in (("model.json", x, True), ("x.mat", x, None), ("xc.mat", xc, None)):
         assert main(["verify", "--in", str(tmp_path / name)]) == 0, name
         verify = json.loads(capsys.readouterr().out)
-        verdict = classify_properness(op, fiber_dim=fd)
+        verdict = classify_properness(op)
         assert verify["verdict"] == verdict.verdict.value
         assert (verify["scaling_residual"], verify["boundary_localized"]) == (
-            wold_decompose(op).residuals["scaling_defect"], verdict.boundary_localized), name
-        assert verdict.boundary_localized is (True if fd else None)
+            wold_decompose(op).residuals["scaling_defect"], localized), name
+        assert verify["scaling_residual"] == verdict.scaling_residual, name
 
 
 def factorizations(monkeypatch, call, *args, **kwargs):
@@ -122,20 +112,18 @@ def factorizations(monkeypatch, call, *args, **kwargs):
 
 
 CALLS = [
-    pytest.param(classify_properness, (), False, id="classify_properness"),
-    pytest.param(classify_properness, (), True, id="classify_properness-fiber_dim"),
-    pytest.param(infinite_projection_witness, (0.5,), False, id="witness"),
-    pytest.param(estimate_spectrum, (0.1,), False, id="estimate_spectrum"),
+    pytest.param(classify_properness, (), id="classify_properness"),
+    pytest.param(infinite_projection_witness, (0.5,), id="witness"),
+    pytest.param(estimate_spectrum, (0.1,), id="estimate_spectrum"),
 ]
 
 
-@pytest.mark.parametrize("fn, args, with_fd", CALLS)
+@pytest.mark.parametrize("fn, args", CALLS)
 @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
-def test_real_operands_factor_in_float64_as_often(monkeypatch, fn, args, with_fd, flag):
-    x, xc, _, fiber_dim = model_pair(flag, 4)
-    kwargs = {"fiber_dim": fiber_dim} if with_fd else {}
-    real = factorizations(monkeypatch, fn, x, *args, **kwargs)
-    cplx = factorizations(monkeypatch, fn, xc, *args, **kwargs)
+def test_real_operands_factor_in_float64_as_often(monkeypatch, fn, args, flag):
+    x, xc, _, _ = model_pair(flag, 4)
+    real = factorizations(monkeypatch, fn, x, *args)
+    cplx = factorizations(monkeypatch, fn, xc, *args)
     assert real and {c[2] for c in real} == {np.dtype(float)}
     assert {c[2] for c in cplx} == {np.dtype(complex)}
     assert [c[:2] for c in real] == [c[:2] for c in cplx]
@@ -148,7 +136,7 @@ def test_real_operands_keep_the_factorization_counts(monkeypatch):
     assert [c[:2] for c in calls if c[0] == "svd"] == [("svd", (n, n))]
     assert not [c for c in calls if c[0] in ("eigh", "norm")]
     # the verdict's one spectral norm is the residual's, on its rows with s != 1
-    calls = factorizations(monkeypatch, classify_properness, x, fiber_dim=fiber_dim)
+    calls = factorizations(monkeypatch, classify_properness, x)
     assert [c[:2] for c in calls if c[:2] == ("svd", (n, n))] == [("svd", (n, n))]
     assert not [c for c in calls if c[0] == "eigh"]
     assert [c for c in calls if c[0] == "norm"] == [("norm", (2 * fiber_dim, n), np.dtype(float))]
@@ -219,10 +207,10 @@ def test_cli_reports_match_the_complex_path(capsys, tmp_path, flag):
     for rep in (synth["estimated_spectrum"], estimate):
         same_set(SpectralSet.from_json(rep), want)
 
-    verdict = classify_properness(xc, 1e-8, 0.1, fiber_dim=model.fiber_dim)
+    verdict = classify_properness(xc, 1e-8, 0.1)
     assert verify["verdict"] == verdict.verdict.value == flag.value
     assert (verify["gap_at_0"], verify["gap_at_1"]) == (verdict.gap_at_0, verdict.gap_at_1)
-    assert verify["boundary_localized"] is verdict.boundary_localized is True
+    assert verify["boundary_localized"] is True
     close(verify["projection_distance"], verdict.projection_distance)
     close(verify["scaling_residual"], verdict.scaling_residual)
 

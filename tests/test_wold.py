@@ -184,7 +184,7 @@ def dense_reference(x, tol=1e-9):
         "unitary_rank": xc.shape[0],
         "kernel_rank": int(round(np.trace(p3).real)),
         "residuals": {
-            "scaling_defect": reference_defect(x)[0],
+            "scaling_defect": reference_defect(x),
             "projection_defect": max(max(opnorm(q @ q - q), opnorm(q.conj().T - q)) for q in qs),
             "orthogonality_defect": max(opnorm(a @ b) for a, b in itertools.combinations(qs, 2)),
             "completeness_defect": opnorm(p1 + p2 + p3 - eye),
