@@ -294,7 +294,6 @@ class TestMatrixFile:
         code, verify = run(capsys, "verify", "--in", str(tmp_path / f"model.{ext}"))
         assert code == 0 and set(verify) == self.VERIFY_KEYS
 
-
     @pytest.mark.parametrize("a", [[[0.5, 0], [0, 1000]], [[0.5, 0, 0], [0, 1, 0], [0, 0, 1000]]], ids=["d2", "d3"])
     def test_large_weight_model_file_is_boundary_localized(self, capsys, tmp_path, a):
         # R = (X*X)X - X lies on a model's last slot by construction, however large its weights
@@ -302,6 +301,23 @@ class TestMatrixFile:
         path.write_text(json.dumps({"d": len(a), "N": 20, "A": a}))
         code, verify = run(capsys, "verify", "--in", str(path))
         assert code == 0 and verify["boundary_localized"] is True, verify
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dense, top", [(True, 100.0), (False, 1000.0)], ids=["dense-100", "diagonal-1000"])
+    def test_eight_slot_model_file_is_boundary_localized(self, capsys, tmp_path, dense, top, seed):
+        # seeded weights in [0.5, top], conjugated by a random orthogonal matrix when dense: rounding in a
+        # numerical slot test would exceed 1e-10 at these weights, but R has no rows outside the last slot
+        rng = np.random.default_rng(seed)
+        w = np.sort(rng.uniform(0.5, top, 8))
+        w[-1] = top
+        q = np.linalg.qr(rng.standard_normal((8, 8)))[0] if dense else np.eye(8)
+        a = q @ np.diag(w) @ q.T
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"d": 8, "N": 20, "A": ((a + a.T) / 2).tolist()}))
+        code, verify = run(capsys, "verify", "--in", str(path))
+        assert code == 0 and verify["boundary_localized"] is True, verify
+        x = realize(matio.load_model(str(path)))
+        assert verify["scaling_residual"] == classify_properness(x).scaling_residual
 
 
 class TestBadOperands:

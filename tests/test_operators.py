@@ -102,6 +102,15 @@ class TestRealize:
         )
         assert np.max(np.abs(got - expected)) <= 1e-10
 
+    # numpy refuses each n x n before it allocates: at n = 1e7 the 1.6e15 bytes exceed the 2**47-byte
+    # user address space, and from n = 3e9 on it cannot index the array
+    @pytest.mark.parametrize("d, n", [(1, 10**7), (1, 3 * 10**9), (3, 10**9), (1, 10**19)],
+                             ids=["1e7", "3e9", "d3-1e9", "1e19"])
+    def test_too_large_to_allocate_or_index_is_a_dimension_mismatch(self, d, n):
+        size = d * n
+        with pytest.raises(DimensionMismatch, match=f"^a realized model of {size}x{size} is too large$"):
+            realize(model(d, n, np.eye(d)))
+
 
 class TestModelValidation:
     def test_rejects_non_hermitian(self):
@@ -147,12 +156,13 @@ class TestScalingDefect:
         r = (x.conj().T @ x) @ x - x
         assert opnorm(r[:2, :]) <= 1e-14  # all rows except the last slot vanish
 
-    def test_residual_is_exactly_the_last_slot_of_every_model(self):
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_residual_is_exactly_the_last_slot_of_every_model(self, d):
         # R = (X*X)X - X is -X on the last slot and exactly 0 on every other, so R[:n - d] is 0.0 with no
         # rounding: X*X is diagonal by slots with identity blocks between the first and the last
-        rng = np.random.default_rng(34)
-        for i in range(1200):
-            d, depth, top = int(rng.integers(1, 7)), int(rng.integers(2, 21)), 10.0 ** (-3 + i % 9)
+        rng = np.random.default_rng(34 + d)
+        for i in range(200):
+            depth, top = int(rng.integers(2, 21)), 10.0 ** (-3 + i % 9)
             w = top * np.sort(10.0 ** rng.uniform(-2, 0, d))
             w[-1] = top
             a = np.diag(w) if i % 2 else conjugate_random(np.diag(w).astype(complex), i)
@@ -357,6 +367,11 @@ class TestClassifyProperness:
         v, norm = classify_properness(x), reference_defect(x)
         assert abs(v.scaling_residual - norm) <= 1e-12 * max(1.0, norm)
         assert v.scaling_residual == svd_defect(x)
+
+    def test_takes_no_fiber_dim(self):
+        # a model's residual lies on its last slot by construction, so no slot size is asked for
+        with pytest.raises(TypeError, match="fiber_dim"):
+            classify_properness(realize(diag_model(4, 0.5)), fiber_dim=1)
 
     def test_one_svd_per_call(self, monkeypatch):
         # the shift-summand test reuses the verdict's SVD
