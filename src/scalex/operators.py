@@ -70,12 +70,6 @@ def _operand(x, **tolerances: float) -> np.ndarray:
     return x if x.imag.any() else np.ascontiguousarray(x.real)
 
 
-def _opnorm_at_most(m: np.ndarray, tol: float) -> bool:
-    """opnorm(m) <= tol, skipping the SVD when the Frobenius bound decides it."""
-    with np.errstate(over="ignore"):  # past entries of ~1e154 the Frobenius norm is inf, and the SVD decides
-        return bool(np.linalg.norm(m) <= tol or opnorm(m) <= tol)
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedShiftModel:
     """Fiber dimension d, depth N and the positive-definite weight block A."""
@@ -116,24 +110,6 @@ def realize(m: TruncatedShiftModel) -> np.ndarray:
     return x
 
 
-def _residual_rows(s: np.ndarray, cross: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
-    """The given rows of V* R V = (S^2 - I)(V* L) S; :class:`NotAdmissible` when they overflow float64."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = (s[rows] ** 2 - 1)[:, None] * cross[rows] * s
-    if not np.isfinite(block).all():  # LAPACK may not return on inf or nan
-        raise NotAdmissible(f"the scaling residual overflows float64 at the largest singular value {s[0]:.6g}")
-    return block
-
-
-def _defect_of_svd(s: np.ndarray, cross: np.ndarray) -> float:
-    """||R|| for R = (X*X)X - X, read from the caller's SVD X = L S V* and its cross product V* L.
-    V* R = (S^2 - I)(V* L) S V*, so R lives on the rows where s^2 != 1.  Those
-    with |s^2 - 1| <= BOUNDARY_TOL are dropped; they add at most BOUNDARY_TOL * s[0].
-    """
-    off = np.abs(np.minimum(s, 2.0) ** 2 - 1) > BOUNDARY_TOL  # s clipped at 2: the same rows, and no overflow
-    return opnorm(_residual_rows(s, cross, off))
-
-
 def _clusters(s: np.ndarray, cluster_tol: float) -> SpectralSet:
     """Values s clustered into intervals: values closer than cluster_tol coalesce."""
     values = np.sort(s).tolist()
@@ -152,10 +128,13 @@ def estimate_spectrum(x: np.ndarray, cluster_tol: float = 1e-8) -> SpectralSet:
     """Singular values of x, clustered into intervals of width <= the gaps.
 
     Values closer than cluster_tol coalesce; each cluster becomes the interval
-    [min, max], so exact multiple values come back as points.  An empty or
-    non-square x raises :class:`DimensionMismatch`.
+    [min, max], so exact multiple values come back as points.  Refusals include
+    :class:`DimensionMismatch` (x empty or non-square) and :class:`NotAdmissible` (s0 overflows float64).
     """
-    return _clusters(np.linalg.svd(_operand(x, cluster_tol=cluster_tol), compute_uv=False), cluster_tol)
+    s = np.linalg.svd(_operand(x, cluster_tol=cluster_tol), compute_uv=False)
+    if not np.isfinite(s).all():  # s is sorted, so s0 overflows first
+        raise NotAdmissible(f"the largest singular value {s[0]:.6g} overflows float64")
+    return _clusters(s, cluster_tol)
 
 
 def synthesize(
@@ -211,23 +190,27 @@ class PropernessVerdict:
     scaling_residual: float
 
 
-def _factor(x, tol: float,
-            **tolerances: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """The lab's one prelude: the operand X, its SVD L, s, V*, the cross product V* L and the rank.
+def _factor(x, tol: float, **tolerances: float) -> tuple[np.ndarray, ...]:
+    """The lab's one prelude: the operand X, its SVD L, s, V*, the cross product V* L, the rank and R's rows off 1.
 
     rank counts the s above tol, so the right support is the prefix V*[:rank].
-    The scaling residual R = (X*X)X - X has V* R V = (S^2 - I)(V* L) S: the gate,
-    the residual and the support differences are all blocks of V* L.  Refusals,
+    The scaling residual R = (X*X)X - X has V* R V = (S^2 - I)(V* L) S, whose
+    rows are formed here once: the gate judges the rows [:rank], and the rows
+    where |s^2 - 1| > BOUNDARY_TOL are returned, the ones R lives on, so ||R||
+    is their norm (the rows dropped add at most BOUNDARY_TOL * s0).  Refusals,
     in this order: :class:`DimensionMismatch` (x empty or non-square),
     :class:`NonFiniteEntry`, :class:`NotAdmissible` (tol or one of the caller's
-    ``tolerances`` not finite and > 0, or tol leaves a nonzero X no support) and
-    :class:`NotScalinglike` (R's rows on the right support exceed tol plus a
-    rounding floor in norm; the test is basis-free, so it survives unitary
-    conjugation).  The rows carry X's rounding, of order delta = GATE_FLOOR * n *
-    eps * max(1, s0), through the other two factors of (X*X)X, so the floor is
-    delta * s0^2.  It is granted only while delta is at most sqrt(eps), so that
-    a singular value at 1, which the identity pins, keeps half its digits; past
-    that it is 0.
+    ``tolerances`` not finite and > 0, tol leaves a nonzero X no support, or R's
+    rows overflow float64) and :class:`NotScalinglike` (R's rows on the right
+    support exceed tol plus a rounding floor in norm; the test is basis-free,
+    so it survives unitary conjugation).  The rows carry X's rounding, of order
+    delta = GATE_FLOOR * n * eps * max(1, s0), through the other two factors of
+    (X*X)X, so the floor is delta * s0^2.  It is granted only while delta is at
+    most sqrt(eps), so that a singular value at 1, which the identity pins,
+    keeps half its digits; past that it is 0.  The SVD fixes the right support
+    only to an angle of about kappa = n * eps * s0 / s[rank - 1] (Wedin), so the
+    rows [:rank] also carry up to kappa * ||R|| of the residual off it: that leak
+    is granted with the floor while kappa <= 1/8, never covering a failure of ||R||.
     """
     x = _operand(x, tol=tol, **tolerances)
     left, s, vh = np.linalg.svd(x)
@@ -235,14 +218,22 @@ def _factor(x, tol: float,
     if not rank and s[0] > 0:
         raise NotAdmissible(f"tol {tol:g} is at or above the largest singular value {s[0]:.6g}")
     cross = vh @ left
-    block = _residual_rows(s, cross, slice(rank))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = (s**2 - 1)[:, None] * cross * s
+    if not np.isfinite(rows).all():  # LAPACK may not return on inf or nan
+        raise NotAdmissible(f"the scaling residual overflows float64 at the largest singular value {s[0]:.6g}")
     eps = np.finfo(float).eps
     delta = GATE_FLOOR * len(s) * eps * max(1.0, s[0])
     floor = delta * max(1.0, s[0]) ** 2 if delta <= np.sqrt(eps) else 0.0  # s0 < 5e6, so no overflow
-    if not _opnorm_at_most(block, tol + floor):
-        raise NotScalinglike(f"scaling identity fails by {opnorm(block):.3e} away from the boundary,"
-                             f" above tol {tol:g} plus the rounding floor {floor:.3e}")
-    return x, left, s, vh, cross, rank
+    off = np.abs(np.minimum(s, 2.0) ** 2 - 1) > BOUNDARY_TOL  # s clipped at 2: the same rows, and no overflow
+    with np.errstate(over="ignore"):  # past entries of ~1e154 the Frobenius norm is inf, and the SVD decides
+        if np.linalg.norm(rows[:rank]) > tol + floor and (failure := opnorm(rows[:rank])) > tol + floor:
+            kappa = len(s) * eps * s[0] / s[rank - 1]  # the block is not empty, so rank > 0
+            leak = kappa * opnorm(rows[off]) if floor and kappa <= 0.125 else 0.0  # floor > 0: delta <= sqrt(eps)
+            if failure > tol + floor + leak:
+                raise NotScalinglike(f"scaling identity fails by {failure:.3e} away from the boundary, above tol"
+                                     f" {tol:g} plus the rounding floor {floor:.3e} and the leak {leak:.3e}")
+    return x, left, s, vh, cross, rank, rows[off]
 
 
 def _support_difference(cross: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -281,7 +272,7 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1) 
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
     One SVD of X serves every test and the residual.
     """
-    u, s, vh, cross, rank = _factor(x, tol, gap_tol=gap_tol)[1:]  # the operand is not needed past its SVD
+    u, s, vh, cross, rank, off_rows = _factor(x, tol, gap_tol=gap_tol)[1:]  # the operand is unused past its SVD
     if not _shift_basis(u[:, rank:], vh[rank:].conj().T).shape[1]:
         raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
@@ -298,7 +289,7 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1) 
     distance = float(np.max(np.abs(w), initial=0.0))
 
     verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol else Properness.PROPER
-    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance, _defect_of_svd(s, cross))
+    return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance, opnorm(off_rows))
 
 
 @dataclass(frozen=True)
@@ -324,7 +315,7 @@ def infinite_projection_witness(
     """
     if not (0.0 < c < 1.0):
         raise NotAdmissible(f"gap point must lie in (0, 1), got {c}")
-    left, s, vh, cross, rank = _factor(x, tol, cluster_tol=cluster_tol)[1:]
+    left, s, vh, cross, rank = _factor(x, tol, cluster_tol=cluster_tol)[1:-1]
     if _clusters(s, cluster_tol).contains(c):
         raise NoGap(f"{c} lies in the estimated spectrum")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence
-from .operators import opnorm, _defect_of_svd, _factor, _shift_basis
+from .operators import opnorm, _factor, _shift_basis
 
 __all__ = ["WoldReport", "wold_decompose", "reconstruct"]
 
@@ -89,9 +89,9 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9) -> WoldReport:
     number more than the dimension n), and :class:`DimensionMismatch` on an empty or non-square x.
     """
     # one SVD serves the scaling gate, the residual, the shift basis and the kernel basis
-    x, left, s, right, cross, rank = _factor(x, tol)
-    defect_norm = _defect_of_svd(s, cross)
-    del cross
+    x, left, s, right, cross, rank, off_rows = _factor(x, tol)
+    defect_norm = opnorm(off_rows)
+    del cross, off_rows
     n = x.shape[0]
 
     ker = right[rank:].conj().T

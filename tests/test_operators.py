@@ -6,7 +6,6 @@ import pytest
 from scalex import matio, operators
 from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NonFiniteEntry, NotAdmissible, NotScalinglike
 from scalex.operators import (
-    _defect_of_svd,
     _factor,
     _shift_basis,
     TruncatedShiftModel,
@@ -31,13 +30,6 @@ from conftest import (
     reference_defect,
 )
 from test_factor_once import operand
-
-
-def svd_defect(x):
-    """The lab's scaling residual, read from x's own SVD with no scaling gate: for
-    operands the gate refuses, or that classify_properness gives no verdict."""
-    left, s, vh = np.linalg.svd(np.asarray(x, dtype=complex))
-    return _defect_of_svd(s, vh @ left)
 
 
 def model(d, n, a):
@@ -175,21 +167,18 @@ class TestScalingDefect:
     def test_zero_matrix(self):
         # no shift summand, so no verdict: the residual comes from the SVD itself
         assert wold_decompose(np.zeros((3, 3))).residuals["scaling_defect"] == 0.0
-        assert svd_defect(np.zeros((3, 3))) == 0.0
 
     def test_generic_matrix_not_localized(self, rng):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         # the scaling gate refuses a generic matrix, whose R spreads past the last slot
         r = (x.conj().T @ x) @ x - x
         assert opnorm(r[:-1]) > 1e-10
-        assert abs(svd_defect(x) - reference_defect(x)) <= 1e-12 * reference_defect(x)
+        with pytest.raises(NotScalinglike):
+            classify_properness(x)
 
     # operands on which the residual read from the SVD could drift from R formed directly:
-    # a residual on the whole support, weights within 1e-11 of 1 (rows the thin block drops),
-    # slots mixed by a unitary
+    # weights within 1e-11 of 1 (rows the thin block drops), slots mixed by a unitary
     DRIFT = {
-        "cyclic-0.5": lambda: cyclic_shift(0.5),
-        "cyclic-2": lambda: cyclic_shift(2.0),
         "near-one-above": lambda: realize(diag_model(5, 0.5, 1 + 1e-11)),
         "near-one-below": lambda: realize(diag_model(5, 1 - 1e-11, 0.7)),
         "near-one-conjugated": lambda: conjugate_random(realize(diag_model(5, 0.5, 1 + 1e-11)), 2),
@@ -200,13 +189,19 @@ class TestScalingDefect:
     @pytest.mark.parametrize("name", list(DRIFT))
     def test_matches_the_direct_residual(self, name):
         x = self.DRIFT[name]()
-        if name.startswith("cyclic"):  # the scaling gate refuses these: read the residual off the SVD
-            got = svd_defect(x)
-        else:
-            got = classify_properness(x).scaling_residual
-            assert wold_decompose(x).residuals["scaling_defect"] == got
+        got = classify_properness(x).scaling_residual
+        assert wold_decompose(x).residuals["scaling_defect"] == got
         norm = reference_defect(x)
         assert abs(got - norm) <= 1e-12 * max(1.0, norm)
+
+    @pytest.mark.parametrize("name", list(DRIFT))
+    def test_prelude_returns_the_residual_rows_off_one(self, name):
+        # the rows of V* R V where |s^2 - 1| > BOUNDARY_TOL, against R formed by two n x n products
+        x = np.asarray(self.DRIFT[name](), dtype=complex)
+        _, _, s, vh, _, _, rows = _factor(x, 1e-8)
+        want = (vh @ ((x.conj().T @ x) @ x - x) @ vh.conj().T)[np.abs(s**2 - 1) > operators.BOUNDARY_TOL]
+        assert rows.shape == want.shape
+        assert np.abs(rows - want).max() <= 1e-12 * max(1.0, opnorm(want))
 
 
 class TestEstimateSpectrum:
@@ -360,13 +355,12 @@ class TestClassifyProperness:
         x[:6, :6] = realize(diag_model(6, 0.5))
         assert isinstance(classify_properness(conjugate_random(x, 9)).verdict, Properness)
 
-    # the cyclic shifts are refused, so the verdict sees the scaling-like operands
-    @pytest.mark.parametrize("name", [name for name in TestScalingDefect.DRIFT if not name.startswith("cyclic")])
+    @pytest.mark.parametrize("name", list(TestScalingDefect.DRIFT))
     def test_verdict_carries_the_direct_residual(self, name):
         x = TestScalingDefect.DRIFT[name]()
         v, norm = classify_properness(x), reference_defect(x)
         assert abs(v.scaling_residual - norm) <= 1e-12 * max(1.0, norm)
-        assert v.scaling_residual == svd_defect(x)
+        assert v.scaling_residual == wold_decompose(x).residuals["scaling_defect"]
 
     def test_takes_no_fiber_dim(self):
         # a model's residual lies on its last slot by construction, so no slot size is asked for
@@ -419,14 +413,21 @@ class TestScalingGate:
             x = realize(synthesize(spectrum((0, 0), (0.3, 0.6), (1, 1)), flag, 5, 4, seed=1))
         else:
             x = operand(flag, 1, which == "fiber")
-        # the block the prelude's gate judges, V_r* R V; the gate lets it through, so the cyclic shifts it
-        # refuses reach the comparison too
-        judged = []
-        monkeypatch.setattr(operators, "_opnorm_at_most", lambda m, tol: judged.append(m) or True)
+        # the block the prelude's gate judges, V_r* R V, is the argument of its Frobenius norm; reading 0
+        # lets it through, so the cyclic shifts it refuses reach the comparison too
+        judged, norm = [], np.linalg.norm
+        def frobenius(m, *args, **kwargs):
+            if args or kwargs:  # the spectral norm of opnorm
+                return norm(m, *args, **kwargs)
+            judged.append(m)
+            return 0.0
+        monkeypatch.setattr(np.linalg, "norm", frobenius)
         for op in (x, cyclic_shift(0.5), cyclic_shift(2.0)):
-            _, _, s, vh, _, rank = _factor(op, 1e-8)
+            _, _, s, vh, _, rank, _ = _factor(op, 1e-8)
             want = vh[:rank] @ ((op.conj().T @ op) @ op - op)
-            assert np.abs(judged.pop() @ vh - want).max() <= 1e-12
+            (block,) = judged
+            judged.clear()
+            assert np.abs(block @ vh - want).max() <= 1e-12
 
 
     @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
@@ -446,11 +447,42 @@ class TestScalingGate:
         assert infinite_projection_witness(x, 0.7)[1].infinite_projection_witnessed
         assert wold_decompose(x).a_eigenvalues == pytest.approx(np.linalg.eigvalsh(m.A), rel=1e-10)
 
+    # smallest weights from 3 tol up: the SVD fixes the right support only to an angle of about
+    # kappa = n eps s0 / low, so the residual on the last slot leaks into the gate's block by up to kappa ||R||
+    @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
+    @pytest.mark.parametrize("source", ["synth", "file", "rotated-file"])
+    @pytest.mark.parametrize("low", [3e-9, 1e-8, 2e-8, 5e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+    def test_small_weight_ladder_is_answered(self, tmp_path, low, source, flag):
+        weights = [low, 0.5] if flag is Properness.NON_PROPER else [low, 0.5, 1.0]
+        if source == "synth":
+            m = synthesize(spectrum((0, 0), (low, low), (0.5, 0.5), (1, 1)), flag, 8)
+        else:
+            q = random_unitary(len(weights), 4) if source == "rotated-file" else np.eye(len(weights))
+            a = q @ np.diag(weights) @ q.conj().T
+            matio.save_model(str(tmp_path / "m.json"), model(len(q), 6, (a + a.conj().T) / 2))
+            m = matio.load_model(str(tmp_path / "m.json"))
+        x = conjugate_random(realize(m), 5 if source == "synth" else 3)
+        # every weight below gap_tol reads as no gap at 0: the verdict is proper, whichever flag A was built to
+        v = classify_properness(x, tol=1e-9)
+        assert (v.verdict, v.gap_at_0) == (Properness.PROPER, False)
+        assert infinite_projection_witness(x, 0.3)[1].infinite_projection_witnessed
+        # the recovered weights are as good as the support: within kappa s0 = n eps s0^2 / low of A's
+        bound = len(x) * np.finfo(float).eps / low  # s0 = 1
+        assert np.abs(np.array(wold_decompose(x).a_eigenvalues) - np.linalg.eigvalsh(m.A)).max() <= bound
+
+    def test_no_leak_once_kappa_passes_an_eighth(self):
+        # a singular value 1e-15 just above tol makes kappa = 4 eps s0 / 1e-15 = 1.8: the cyclic shift's failure,
+        # which is all of ||R||, would pass as leak
+        x = np.zeros((4, 4))
+        x[:3, :3], x[3, 3] = cyclic_shift(2.0), 1e-15
+        with pytest.raises(NotScalinglike, match=r"plus the rounding floor [1-9].* and the leak 0\.000e\+00$"):
+            _factor(x, 1e-16)
+
     def test_no_floor_once_rounding_passes_sqrt_eps(self):
         # 16 * 12 * eps * 1e7 > sqrt(eps): the weights are no longer read to half their digits, and the
         # exact model's rounding, ~1e5, is refused as at a bare tol
         x = conjugate_random(realize(diag_model(6, 0.5, 1e7)), 3)
-        with pytest.raises(NotScalinglike, match=r"plus the rounding floor 0\.000e\+00$"):
+        with pytest.raises(NotScalinglike, match=r"plus the rounding floor 0\.000e\+00 and the leak 0\.000e\+00$"):
             _factor(x, 1e-8)
 
 
@@ -530,8 +562,7 @@ OVERFLOWING = {
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", OVERFLOWING)
 @pytest.mark.parametrize(
-    "call", [svd_defect, classify_properness, wold_decompose],
-    ids=["scaling_defect", "classify_properness", "wold_decompose"],
+    "call", [classify_properness, wold_decompose], ids=["classify_properness", "wold_decompose"],
 )
 def test_overflowing_scaling_residual_is_refused(call, name):
     x, s0 = OVERFLOWING[name]
@@ -546,6 +577,13 @@ def test_large_representable_scaling_residual_is_answered():
     assert (v.verdict, v.scaling_residual) == (Properness.NON_PROPER, 1e120)
     r = wold_decompose(x)
     assert r.q_ranks == [1, 1] and r.a_eigenvalues == pytest.approx([1e120])
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_singular_value_is_refused_by_the_estimate():
+    # every entry is finite, but the largest singular value, 2e308, is not: no interval is formed from it
+    with pytest.raises(NotAdmissible, match=r"^the largest singular value inf overflows float64$"):
+        estimate_spectrum(np.full((2, 2), 1e308))
 
 
 class TestFunctionalCalculus:
