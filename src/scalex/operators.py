@@ -191,7 +191,7 @@ class PropernessVerdict:
 
 
 def _factor(x, tol: float, **tolerances: float) -> tuple[np.ndarray, ...]:
-    """The lab's one prelude: the operand X, its SVD L, s, V*, the cross product V* L, the rank and R's rows off 1.
+    """The lab's one prelude: X, its SVD L, s, V*, the cross product V* L, the rank, R's rows off 1 and an angle.
 
     rank counts the s above tol, so the right support is the prefix V*[:rank].
     The scaling residual R = (X*X)X - X has V* R V = (S^2 - I)(V* L) S, whose
@@ -208,9 +208,10 @@ def _factor(x, tol: float, **tolerances: float) -> tuple[np.ndarray, ...]:
     (X*X)X, so the floor is delta * s0^2.  It is granted only while delta is at
     most sqrt(eps), so that a singular value at 1, which the identity pins,
     keeps half its digits; past that it is 0.  The SVD fixes the right support
-    only to an angle of about kappa = n * eps * s0 / s[rank - 1] (Wedin), so the
-    rows [:rank] also carry up to kappa * ||R|| of the residual off it: that leak
-    is granted with the floor while kappa <= 1/8, never covering a failure of ||R||.
+    only to an angle kappa = n * eps * s0 / s[rank - 1] (Wedin), so the rows
+    [:rank] carry up to kappa * ||R|| of the residual off it.  kappa is granted with
+    the floor while kappa * s0, its bound on a weight's error, is at most s[rank - 1],
+    else it is 0; so kappa <= sqrt(n * eps) never covers a failure of order ||R||.
     """
     x = _operand(x, tol=tol, **tolerances)
     left, s, vh = np.linalg.svd(x)
@@ -222,18 +223,18 @@ def _factor(x, tol: float, **tolerances: float) -> tuple[np.ndarray, ...]:
         rows = (s**2 - 1)[:, None] * cross * s
     if not np.isfinite(rows).all():  # LAPACK may not return on inf or nan
         raise NotAdmissible(f"the scaling residual overflows float64 at the largest singular value {s[0]:.6g}")
-    eps = np.finfo(float).eps
-    delta = GATE_FLOOR * len(s) * eps * max(1.0, s[0])
+    n, eps = len(s), np.finfo(float).eps
+    delta = GATE_FLOOR * n * eps * max(1.0, s[0])
     floor = delta * max(1.0, s[0]) ** 2 if delta <= np.sqrt(eps) else 0.0  # s0 < 5e6, so no overflow
+    kappa = n * eps * s[0] / s[rank - 1] if floor and rank and n * eps * s[0] ** 2 <= s[rank - 1] ** 2 else 0.0
     off = np.abs(np.minimum(s, 2.0) ** 2 - 1) > BOUNDARY_TOL  # s clipped at 2: the same rows, and no overflow
     with np.errstate(over="ignore"):  # past entries of ~1e154 the Frobenius norm is inf, and the SVD decides
         if np.linalg.norm(rows[:rank]) > tol + floor and (failure := opnorm(rows[:rank])) > tol + floor:
-            kappa = len(s) * eps * s[0] / s[rank - 1]  # the block is not empty, so rank > 0
-            leak = kappa * opnorm(rows[off]) if floor and kappa <= 0.125 else 0.0  # floor > 0: delta <= sqrt(eps)
+            leak = kappa * opnorm(rows[off])
             if failure > tol + floor + leak:
                 raise NotScalinglike(f"scaling identity fails by {failure:.3e} away from the boundary, above tol"
                                      f" {tol:g} plus the rounding floor {floor:.3e} and the leak {leak:.3e}")
-    return x, left, s, vh, cross, rank, rows[off]
+    return x, left, s, vh, cross, rank, rows[off], kappa
 
 
 def _support_difference(cross: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -272,7 +273,7 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1) 
     summand is normal, not a scaling element, and raises :class:`NotAdmissible`.
     One SVD of X serves every test and the residual.
     """
-    u, s, vh, cross, rank, off_rows = _factor(x, tol, gap_tol=gap_tol)[1:]  # the operand is unused past its SVD
+    u, s, vh, cross, rank, off_rows, kappa = _factor(x, tol, gap_tol=gap_tol)[1:]  # X is unused past its SVD
     if not _shift_basis(u[:, rank:], vh[rank:].conj().T).shape[1]:
         raise NotAdmissible("X has no shift summand (its right and left supports coincide)")
 
@@ -288,7 +289,8 @@ def classify_properness(x: np.ndarray, tol: float = 1e-8, gap_tol: float = 0.1) 
     w = _support_difference(cross[:rank, :rank], dist1[:rank] <= tol)
     distance = float(np.max(np.abs(w), initial=0.0))
 
-    verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol else Properness.PROPER
+    # the distance turns with the computed support, by up to kappa
+    verdict = Properness.NON_PROPER if gap_at_0 and gap_at_1 and distance <= tol + kappa else Properness.PROPER
     return PropernessVerdict(verdict, gap_at_0, gap_at_1, distance, opnorm(off_rows))
 
 
@@ -315,7 +317,7 @@ def infinite_projection_witness(
     """
     if not (0.0 < c < 1.0):
         raise NotAdmissible(f"gap point must lie in (0, 1), got {c}")
-    left, s, vh, cross, rank = _factor(x, tol, cluster_tol=cluster_tol)[1:-1]
+    left, s, vh, cross, rank = _factor(x, tol, cluster_tol=cluster_tol)[1:-2]
     if _clusters(s, cluster_tol).contains(c):
         raise NoGap(f"{c} lies in the estimated spectrum")
 

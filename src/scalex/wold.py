@@ -89,7 +89,7 @@ def wold_decompose(x: np.ndarray, tol: float = 1e-9) -> WoldReport:
     number more than the dimension n), and :class:`DimensionMismatch` on an empty or non-square x.
     """
     # one SVD serves the scaling gate, the residual, the shift basis and the kernel basis
-    x, left, s, right, cross, rank, off_rows = _factor(x, tol)
+    x, left, s, right, cross, rank, off_rows = _factor(x, tol)[:-1]
     defect_norm = opnorm(off_rows)
     del cross, off_rows
     n = x.shape[0]

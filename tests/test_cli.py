@@ -15,18 +15,8 @@ import pytest
 
 from scalex import matio
 from scalex.cli import main
-from scalex.operators import (
-    TruncatedShiftModel,
-    classify_properness,
-    estimate_spectrum,
-    infinite_projection_witness,
-    realize,
-    synthesize,
-)
-from scalex.spectra import Properness, ScalingSpectrum
+from scalex.operators import classify_properness, estimate_spectrum, infinite_projection_witness, realize
 from scalex.wold import wold_decompose
-
-from conftest import conjugate_random
 
 POINTS_01 = '{"intervals": [[0,0],[1,1]]}'
 POINTS_0H1 = '{"intervals": [[0,0],[0.5,0.5],[1,1]]}'
@@ -351,7 +341,6 @@ class TestBadOperands:
         assert out[end:].strip() == ""
         assert code == 2 and doc["kind"] == kind
 
-
     def test_specestimate_refuses_an_operand_that_overflows(self, tmp_path):
         # every entry is finite, but the largest singular value is not: inadmissible (exit 3), not a bad interval,
         # and stdout holds its one JSON document alone
@@ -433,33 +422,6 @@ class TestBadOperands:
             assert code == 0 and rep["kernel_rank"] == 3 and rep["q_ranks"] == [], rep
             code, rep = run(capsys, "witness", "--in", str(path), "--tol", tol, "--gap", "0.5")
             assert code == 0 and rep["infinite_projection_witnessed"] is False, rep
-
-
-class TestSmallWeights:
-    """A conjugated truncated model whose smallest weight sits a little above tol gets its reports.
-
-    Behind a unitary the SVD fixes the right support only to an angle of about
-    n eps / w, so the residual on the last slot leaks into the gate's block."""
-
-    OPERANDS = {
-        "synth-1e-7": lambda: realize(synthesize(
-            ScalingSpectrum.from_intervals([(0, 0), (1e-7, 1e-7), (0.5, 0.5), (1, 1)]), Properness.PROPER, 8)),
-        "model-2e-8": lambda: realize(TruncatedShiftModel(2, 6, np.diag([2e-8, 0.5]))),
-        "model-5e-8": lambda: realize(TruncatedShiftModel(2, 6, np.diag([5e-8, 0.5]))),
-    }
-
-    @pytest.mark.parametrize("name", list(OPERANDS))
-    def test_matrix_file_is_answered(self, capsys, tmp_path, name):
-        x = conjugate_random(self.OPERANDS[name](), 5 if name.startswith("synth") else 3)
-        path = str(tmp_path / "x.mat")
-        matio.save_matrix(path, x)
-        low = float(name.split("-", 1)[1])
-        code, rep = run(capsys, "wold", "--in", path)
-        assert code == 0 and rep["a_eigenvalues"][0] == pytest.approx(low, abs=len(x) * np.finfo(float).eps / low)
-        code, rep = run(capsys, "witness", "--in", path, "--gap", "0.3")
-        assert code == 0 and rep["infinite_projection_witnessed"] is True, rep
-        code, rep = run(capsys, "verify", "--in", path, "--tol", "1e-9")
-        assert code == 0 and rep["verdict"] == "proper", rep
 
 
 class TestOptionSurface:

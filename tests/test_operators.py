@@ -1,9 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 from scalex import matio, operators
+from scalex.cli import main
 from scalex.errors import DimensionMismatch, IllConditioned, NoGap, NonFiniteEntry, NotAdmissible, NotScalinglike
 from scalex.operators import (
     _factor,
@@ -198,7 +200,7 @@ class TestScalingDefect:
     def test_prelude_returns_the_residual_rows_off_one(self, name):
         # the rows of V* R V where |s^2 - 1| > BOUNDARY_TOL, against R formed by two n x n products
         x = np.asarray(self.DRIFT[name](), dtype=complex)
-        _, _, s, vh, _, _, rows = _factor(x, 1e-8)
+        _, _, s, vh, _, _, rows, _ = _factor(x, 1e-8)
         want = (vh @ ((x.conj().T @ x) @ x - x) @ vh.conj().T)[np.abs(s**2 - 1) > operators.BOUNDARY_TOL]
         assert rows.shape == want.shape
         assert np.abs(rows - want).max() <= 1e-12 * max(1.0, opnorm(want))
@@ -408,27 +410,21 @@ class TestScalingGate:
 
     @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
     @pytest.mark.parametrize("which", ["real", "fiber", "flat"])
-    def test_block_is_the_residual_on_the_right_support(self, monkeypatch, flag, which):
+    def test_block_is_the_residual_on_the_right_support(self, flag, which):
         if which == "real":
             x = realize(synthesize(spectrum((0, 0), (0.3, 0.6), (1, 1)), flag, 5, 4, seed=1))
         else:
             x = operand(flag, 1, which == "fiber")
-        # the block the prelude's gate judges, V_r* R V, is the argument of its Frobenius norm; reading 0
-        # lets it through, so the cyclic shifts it refuses reach the comparison too
-        judged, norm = [], np.linalg.norm
-        def frobenius(m, *args, **kwargs):
-            if args or kwargs:  # the spectral norm of opnorm
-                return norm(m, *args, **kwargs)
-            judged.append(m)
-            return 0.0
-        monkeypatch.setattr(np.linalg, "norm", frobenius)
-        for op in (x, cyclic_shift(0.5), cyclic_shift(2.0)):
-            _, _, s, vh, _, rank, _ = _factor(op, 1e-8)
-            want = vh[:rank] @ ((op.conj().T @ op) @ op - op)
-            (block,) = judged
-            judged.clear()
-            assert np.abs(block @ vh - want).max() <= 1e-12
-
+        # the model scaled by 1.001 fails the identity on its support by about 0.002 s, so the gate reports the
+        # norm of the block it judges; that is V_r* R V, and not V* R V, which the kernel rows lift to about 1
+        scaled = 1.001 * x
+        for op in (scaled, cyclic_shift(0.5), cyclic_shift(2.0)):
+            _, s, vh = np.linalg.svd(op)
+            r = (op.conj().T @ op) @ op - op
+            want = opnorm(vh[: np.count_nonzero(s > 1e-8)] @ r)
+            assert op is not scaled or want < 0.01 * opnorm(r)
+            with pytest.raises(NotScalinglike, match=re.escape(f"scaling identity fails by {want:.3e} away")):
+                _factor(op, 1e-8)
 
     @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
     @pytest.mark.parametrize("source", ["synth", "file"])
@@ -448,11 +444,12 @@ class TestScalingGate:
         assert wold_decompose(x).a_eigenvalues == pytest.approx(np.linalg.eigvalsh(m.A), rel=1e-10)
 
     # smallest weights from 3 tol up: the SVD fixes the right support only to an angle of about
-    # kappa = n eps s0 / low, so the residual on the last slot leaks into the gate's block by up to kappa ||R||
+    # kappa = n eps s0 / low, so the residual on the last slot leaks into the gate's block by up to kappa ||R||.
+    # The leak is granted while kappa s0 <= low, here n eps <= low^2 (s0 = 1); below that the gate refuses
     @pytest.mark.parametrize("flag", list(Properness), ids=lambda f: f.value)
     @pytest.mark.parametrize("source", ["synth", "file", "rotated-file"])
-    @pytest.mark.parametrize("low", [3e-9, 1e-8, 2e-8, 5e-8, 1e-7, 1e-6, 1e-5, 1e-4])
-    def test_small_weight_ladder_is_answered(self, tmp_path, low, source, flag):
+    @pytest.mark.parametrize("low", [3e-9, 1e-8, 2e-8, 5e-8, 7e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+    def test_small_weight_ladder(self, capsys, tmp_path, low, source, flag):
         weights = [low, 0.5] if flag is Properness.NON_PROPER else [low, 0.5, 1.0]
         if source == "synth":
             m = synthesize(spectrum((0, 0), (low, low), (0.5, 0.5), (1, 1)), flag, 8)
@@ -462,17 +459,36 @@ class TestScalingGate:
             matio.save_model(str(tmp_path / "m.json"), model(len(q), 6, (a + a.conj().T) / 2))
             m = matio.load_model(str(tmp_path / "m.json"))
         x = conjugate_random(realize(m), 5 if source == "synth" else 3)
-        # every weight below gap_tol reads as no gap at 0: the verdict is proper, whichever flag A was built to
-        v = classify_properness(x, tol=1e-9)
-        assert (v.verdict, v.gap_at_0) == (Properness.PROPER, False)
-        assert infinite_projection_witness(x, 0.3)[1].infinite_projection_witnessed
-        # the recovered weights are as good as the support: within kappa s0 = n eps s0^2 / low of A's
-        bound = len(x) * np.finfo(float).eps / low  # s0 = 1
-        assert np.abs(np.array(wold_decompose(x).a_eigenvalues) - np.linalg.eigvalsh(m.A)).max() <= bound
+        matio.save_matrix(str(tmp_path / "x.mat"), x)
+        # gap_tol below low, so that the verdict is the planted one and not proper by the gap rule
+        calls = {
+            "wold": (lambda: wold_decompose(x), []),
+            "witness": (lambda: infinite_projection_witness(x, 0.3)[1], ["--gap", "0.3"]),
+            "verify": (lambda: classify_properness(x, 1e-9, low / 2), ["--tol", "1e-9", "--gap-tol", repr(low / 2)]),
+        }
+        for command, (call, flags) in calls.items():
+            code = main([command, "--in", str(tmp_path / "x.mat"), *flags])
+            rep = json.loads(capsys.readouterr().out)
+            if len(x) * np.finfo(float).eps > low**2:
+                with pytest.raises(NotScalinglike, match=r"and the leak 0\.000e\+00$"):
+                    call()
+                assert code == 3 and rep["kind"] == "NotScalinglike", rep
+                continue
+            assert code == 0, rep
+            if command == "verify":
+                # the turn of the support moves the projection distance past tol (up to 1.4e-9 here)
+                assert call().verdict is flag and rep["verdict"] == flag.value
+            elif command == "witness":
+                assert call().infinite_projection_witnessed and rep["infinite_projection_witnessed"]
+            else:
+                # within kappa s0 = n eps s0^2 / low of A's weights, which the grant keeps at most low
+                got = call().a_eigenvalues
+                assert rep["a_eigenvalues"] == got
+                assert got == pytest.approx(np.linalg.eigvalsh(m.A), rel=len(x) * np.finfo(float).eps / low**2)
 
-    def test_no_leak_once_kappa_passes_an_eighth(self):
-        # a singular value 1e-15 just above tol makes kappa = 4 eps s0 / 1e-15 = 1.8: the cyclic shift's failure,
-        # which is all of ||R||, would pass as leak
+    def test_no_leak_once_kappa_s0_passes_the_smallest_weight(self):
+        # a singular value 1e-15 just above tol makes kappa = 4 eps s0 / 1e-15 = 1.8 and kappa s0 = 3.6, far past
+        # 1e-15: granted, the leak would pass the cyclic shift's failure, which is all of ||R||
         x = np.zeros((4, 4))
         x[:3, :3], x[3, 3] = cyclic_shift(2.0), 1e-15
         with pytest.raises(NotScalinglike, match=r"plus the rounding floor [1-9].* and the leak 0\.000e\+00$"):
@@ -480,10 +496,12 @@ class TestScalingGate:
 
     def test_no_floor_once_rounding_passes_sqrt_eps(self):
         # 16 * 12 * eps * 1e7 > sqrt(eps): the weights are no longer read to half their digits, and the
-        # exact model's rounding, ~1e5, is refused as at a bare tol
-        x = conjugate_random(realize(diag_model(6, 0.5, 1e7)), 3)
-        with pytest.raises(NotScalinglike, match=r"plus the rounding floor 0\.000e\+00 and the leak 0\.000e\+00$"):
-            _factor(x, 1e-8)
+        # exact model's rounding, ~1e5, is refused as at a bare tol.  With the weight 1 beside it kappa s0 =
+        # 12 eps 1e14 is below s_r = 1, but the leak goes with the floor, and it is 0 too
+        for low in (0.5, 1.0):
+            x = conjugate_random(realize(diag_model(6, low, 1e7)), 3)
+            with pytest.raises(NotScalinglike, match=r"plus the rounding floor 0\.000e\+00 and the leak 0\.000e\+00$"):
+                _factor(x, 1e-8)
 
 
 @pytest.mark.parametrize("seed", range(40))
